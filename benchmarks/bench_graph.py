@@ -3,7 +3,8 @@
 Measures the structure-exploiting exact engine against the historical
 Ryser-only path across domain sizes, the attacker-workbench solver as an
 ``exact_strategy(preprocess=True)`` front end (forced pairs peeled off,
-forbidden edges deleted, blocks re-split), plus the vectorized Gibbs
+forbidden edges deleted, blocks re-split), the twin-quotient edge
+classification of frequency spaces against the item-graph one, plus the vectorized Gibbs
 sweep against the legacy per-item Python loop, and writes the results as
 machine-readable JSON (``BENCH_graph.json`` at the repo root) so future
 changes have a perf trajectory to compare against.
@@ -32,6 +33,7 @@ from repro.graph import (
     space_from_frequencies,
 )
 from repro.graph.permanent import ryser_int_python as _ryser
+from repro.graph.refine import classify_adjacency, classify_edges, reduced_blocks
 from repro.simulation.gibbs import GibbsAssignmentSampler
 
 FULL_SIZES = (12, 18, 50, 200, 1000)
@@ -209,6 +211,73 @@ def bench_solver_preprocess(sizes, check: bool) -> list[dict]:
                 f"{pre.largest_block:3d}  forced={pre.forced_pairs:4d} "
                 f"forbidden={pre.forbidden_edges:5d}  count={pre_count_s:8.4f}s"
             )
+    return rows
+
+
+def pumsb_instance(seed: int = 0):
+    """The recipe's interval-rung space on a PUMSB-calibrated profile."""
+    from repro.beliefs.builders import uniform_width_belief
+    from repro.data.frequency import FrequencyGroups
+    from repro.datasets.benchmarks import BENCHMARK_SPECS, generate_benchmark_profile
+
+    profile = generate_benchmark_profile(
+        BENCHMARK_SPECS["pumsb"], np.random.default_rng(seed)
+    )
+    frequencies = profile.frequencies()
+    delta = FrequencyGroups(frequencies).median_gap()
+    return space_from_frequencies(uniform_width_belief(frequencies, delta), frequencies)
+
+
+def item_graph_classification(space):
+    """Edge classification on the explicit item graph (Hopcroft–Karp +
+    Tarjan over every edge) — what ``classify_edges`` did for frequency
+    spaces before the twin quotient, adjacency materialization included."""
+    return classify_adjacency([tuple(space.candidates(i)) for i in range(space.n)])
+
+
+def bench_classify(sizes, with_pumsb: bool, check: bool) -> list[dict]:
+    instances = [(f"interval-{n}", lambda n=n: interval_instance(n, seed=n)) for n in sizes]
+    if with_pumsb:
+        instances.append(("pumsb-delta-med", pumsb_instance))
+    rows = []
+    for name, build in instances:
+        space = build()
+        quotient, quotient_s = time_call(classify_edges, space)
+        explicit, item_s = time_call(item_graph_classification, space)
+        agrees = (
+            quotient.infeasible == explicit.infeasible
+            and quotient.forced == explicit.forced
+            and quotient.n_forbidden == explicit.n_forbidden
+            and all(
+                quotient.undecided[i] == explicit.undecided[i]
+                and quotient.forbidden[i] == explicit.forbidden[i]
+                for i in range(space.n)
+            )
+            and reduced_blocks(quotient) == reduced_blocks(explicit)
+        )
+        if check:
+            assert agrees, f"{name}: twin-quotient classification differs from the item graph"
+        pairs = sum(len(row) for row in quotient.quotient.status)
+        row = {
+            "instance": name,
+            "n": space.n,
+            "edges": space.edge_count(),
+            "class_pairs": pairs,
+            "belief_groups": len(quotient.quotient.classes),
+            "frequency_groups": len(space.groups),
+            "forced_pairs": quotient.n_forced,
+            "forbidden_edges": quotient.n_forbidden,
+            "quotient_s": quotient_s,
+            "item_graph_s": item_s,
+            "speedup": item_s / quotient_s if quotient_s > 0 else None,
+            "agrees": agrees,
+        }
+        rows.append(row)
+        print(
+            f"  {name:16s} n={space.n:5d} edges={row['edges']:7d} pairs={pairs:5d}  "
+            f"quotient={quotient_s:8.4f}s  item-graph={item_s:8.4f}s "
+            f"({row['speedup']:.1f}x)"
+        )
     return rows
 
 
@@ -484,6 +553,10 @@ def main(argv=None) -> int:
     preprocess_rows = bench_solver_preprocess(
         (6, 10) if args.smoke else (12, 50, 200), check=True
     )
+    print("edge classification (twin quotient vs item graph):")
+    classify_rows = bench_classify(
+        (50, 200) if args.smoke else (200, 1000, 5000), with_pumsb=not args.smoke, check=True
+    )
     gibbs = bench_gibbs(n=200 if args.smoke else 1000, sweeps=5 if args.smoke else 20)
     print("vectorized kernels and sweep memo:")
     kernels = bench_kernels(smoke=args.smoke, check=True)
@@ -511,6 +584,7 @@ def main(argv=None) -> int:
         "interval_dp": engine_rows,
         "block_ryser": block_rows,
         "solver_preprocess": preprocess_rows,
+        "classify": classify_rows,
         "gibbs_sweep": gibbs,
         "kernels": kernels,
     }

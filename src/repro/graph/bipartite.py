@@ -175,6 +175,7 @@ class FrequencyMappingSpace(MappingSpace):
             self.groups.group_range(float(lo), float(hi))
             for lo, hi in zip(self.low, self.high)
         ]
+        self._belief_groups: BeliefGroupPartition | None = None
 
     # -- MappingSpace interface ---------------------------------------------
 
@@ -214,8 +215,10 @@ class FrequencyMappingSpace(MappingSpace):
         return self._runs[item_index]
 
     def belief_groups(self) -> BeliefGroupPartition:
-        """Partition of items into belief groups (Section 3.2)."""
-        return BeliefGroupPartition(self._runs)
+        """Partition of items into belief groups (Section 3.2), built once."""
+        if self._belief_groups is None:
+            self._belief_groups = BeliefGroupPartition(self._runs)
+        return self._belief_groups
 
     def true_group(self, item_index: int) -> int:
         """Frequency-group index of the item's true anonymized partner."""
