@@ -4,7 +4,8 @@ Measures the structure-exploiting exact engine against the historical
 Ryser-only path across domain sizes, the attacker-workbench solver as an
 ``exact_strategy(preprocess=True)`` front end (forced pairs peeled off,
 forbidden edges deleted, blocks re-split), the twin-quotient edge
-classification of frequency spaces against the item-graph one, plus the vectorized Gibbs
+classification of frequency spaces against the item-graph one, the vectorized
+O-estimate against the per-item loop, plus the vectorized Gibbs
 sweep against the legacy per-item Python loop, and writes the results as
 machine-readable JSON (``BENCH_graph.json`` at the repo root) so future
 changes have a perf trajectory to compare against.
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.beliefs import interval_belief
+from repro.core.oestimate import o_estimate
 from repro.graph import (
     count_matchings_exact,
     crack_marginals_exact,
@@ -214,14 +216,15 @@ def bench_solver_preprocess(sizes, check: bool) -> list[dict]:
     return rows
 
 
-def pumsb_instance(seed: int = 0):
-    """The recipe's interval-rung space on a PUMSB-calibrated profile."""
+def recipe_instance(name: str, seed: int = 0):
+    """The recipe's interval-rung space (width delta_med) on a profile
+    calibrated to the named FIMI benchmark."""
     from repro.beliefs.builders import uniform_width_belief
     from repro.data.frequency import FrequencyGroups
     from repro.datasets.benchmarks import BENCHMARK_SPECS, generate_benchmark_profile
 
     profile = generate_benchmark_profile(
-        BENCHMARK_SPECS["pumsb"], np.random.default_rng(seed)
+        BENCHMARK_SPECS[name], np.random.default_rng(seed)
     )
     frequencies = profile.frequencies()
     delta = FrequencyGroups(frequencies).median_gap()
@@ -238,7 +241,7 @@ def item_graph_classification(space):
 def bench_classify(sizes, with_pumsb: bool, check: bool) -> list[dict]:
     instances = [(f"interval-{n}", lambda n=n: interval_instance(n, seed=n)) for n in sizes]
     if with_pumsb:
-        instances.append(("pumsb-delta-med", pumsb_instance))
+        instances.append(("pumsb-delta-med", lambda: recipe_instance("pumsb")))
     rows = []
     for name, build in instances:
         space = build()
@@ -285,6 +288,56 @@ def time_call(fn, *args, **kwargs):
     start = time.perf_counter()
     value = fn(*args, **kwargs)
     return value, time.perf_counter() - start
+
+
+def best_of(repeats: int, fn, *args):
+    """``(value, fastest seconds)`` over *repeats* calls, for sub-ms work."""
+    timed = [time_call(fn, *args) for _ in range(repeats)]
+    return timed[0][0], min(seconds for _, seconds in timed)
+
+
+def loop_o_estimate(space) -> float:
+    """The per-call O-estimate before vectorization: outdegrees rebuilt
+    from the run tuples, then one ``1.0 / O_x`` addition per compliant
+    item through a generator over numpy scalars."""
+    runs = [space.admissible_run(i) for i in range(space.n)]
+    g_lo = np.array([r[0] for r in runs], dtype=np.int64)
+    g_hi = np.array([r[1] for r in runs], dtype=np.int64)
+    outdegrees = space.groups.prefix[g_hi] - space.groups.prefix[g_lo]
+    compliant = set(int(i) for i in space.compliant_indices())
+    return float(sum(1.0 / outdegrees[i] for i in compliant if outdegrees[i] > 0))
+
+
+def bench_oestimate(smoke: bool, check: bool) -> list[dict]:
+    """One O-estimate call, vectorized vs the per-item loop, on the same space."""
+    names = ("pumsb",) if smoke else ("pumsb", "retail")
+    instances = [("interval-200", lambda: interval_instance(200, seed=200))] + [
+        (f"{name}-delta-med", lambda name=name: recipe_instance(name)) for name in names
+    ]
+    rows = []
+    for name, build in instances:
+        space = build()
+        reference, loop_s = best_of(5, loop_o_estimate, space)
+        vectorized, vector_s = best_of(5, lambda: o_estimate(space).value)
+        agrees = vectorized == reference
+        if check:
+            assert agrees, f"{name}: vectorized O-estimate {vectorized!r} != loop {reference!r}"
+        row = {
+            "instance": name,
+            "n": space.n,
+            "frequency_groups": len(space.groups),
+            "o_estimate": vectorized,
+            "loop_s": loop_s,
+            "vectorized_s": vector_s,
+            "speedup": loop_s / vector_s if vector_s > 0 else None,
+            "agrees": agrees,
+        }
+        rows.append(row)
+        print(
+            f"  {name:18s} n={space.n:6d}  loop={loop_s * 1e3:7.3f}ms "
+            f"vectorized={vector_s * 1e3:7.3f}ms ({row['speedup']:.1f}x)"
+        )
+    return rows
 
 
 def ryser_expected_cracks(space) -> float:
@@ -557,6 +610,8 @@ def main(argv=None) -> int:
     classify_rows = bench_classify(
         (50, 200) if args.smoke else (200, 1000, 5000), with_pumsb=not args.smoke, check=True
     )
+    print("O-estimate (vectorized vs per-item loop):")
+    oestimate_rows = bench_oestimate(smoke=args.smoke, check=True)
     gibbs = bench_gibbs(n=200 if args.smoke else 1000, sweeps=5 if args.smoke else 20)
     print("vectorized kernels and sweep memo:")
     kernels = bench_kernels(smoke=args.smoke, check=True)
@@ -585,6 +640,7 @@ def main(argv=None) -> int:
         "block_ryser": block_rows,
         "solver_preprocess": preprocess_rows,
         "classify": classify_rows,
+        "oestimate": oestimate_rows,
         "gibbs_sweep": gibbs,
         "kernels": kernels,
     }

@@ -13,7 +13,9 @@ non-compliant item can never be cracked by a consistent mapping.
 
 The efficient implementation follows Figure 5: one pass to get observed
 frequencies, a sort into frequency groups, then two binary searches plus
-a prefix-sum lookup per item — ``O(|D| + n log n)`` overall.  Degree-1
+a prefix-sum lookup per item — ``O(|D| + n log n)`` overall.  The space
+does the searches as two vectorized calls and keeps the outdegrees, so
+an estimate is one array pass over them.  Degree-1
 propagation (Figure 7) can optionally be applied first, turning forced
 pairs into certainties as in Figure 6(a).
 """
@@ -23,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Hashable
+
+import numpy as np
 
 from repro.beliefs.function import BeliefFunction
 from repro.graph.bipartite import MappingSpace, space_from_frequencies
@@ -95,7 +99,7 @@ def o_estimate(
         reported ``n`` stays the full domain size.
     """
     if compliant_indices is None:
-        compliant = set(int(i) for i in space.compliant_indices())
+        compliant = set(space.compliant_indices().tolist())
     else:
         compliant = set(int(i) for i in compliant_indices)
     if interest is not None:
@@ -103,8 +107,13 @@ def o_estimate(
         compliant &= wanted
 
     if not propagate:
-        outdegrees = space.outdegrees()
-        value = float(sum(1.0 / outdegrees[i] for i in compliant if outdegrees[i] > 0))
+        # Summation-order contract: the terms are added strictly left to
+        # right in the set's iteration order, so the value is the same in
+        # the last bit on every Python version (np.sum would add pairwise,
+        # and builtin sum over floats compensates from Python 3.12 on).
+        degrees = space.outdegrees()[np.fromiter(compliant, np.int64, len(compliant))]
+        terms = 1.0 / degrees[degrees > 0]
+        value = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
         return OEstimateResult(
             value=value, n=space.n, n_compliant=len(compliant)
         )

@@ -169,12 +169,19 @@ class FrequencyMappingSpace(MappingSpace):
         self._true_partner = np.asarray(true_partner_of, dtype=np.int64)
         if sorted(self._true_partner.tolist()) != list(range(len(items))):
             raise GraphError("true pairing must be a permutation of the anonymized indices")
+        if np.isnan(self.low).any() or np.isnan(self.high).any():
+            raise GraphError("belief intervals must not have NaN ends")
         self.groups = ObservedGroups(self.observed)
-        # Admissible frequency-group run per item.
-        self._runs: list[tuple[int, int]] = [
-            self.groups.group_range(float(lo), float(hi))
-            for lo, hi in zip(self.low, self.high)
-        ]
+        # Admissible frequency-group run per item, by the comparisons of
+        # ObservedGroups.group_range (bisect_left on the low end,
+        # bisect_right on the high end) done as one search per end; the
+        # outdegrees are prefix-sum differences over the runs.
+        freqs = np.asarray(self.groups.freqs, dtype=np.float64)
+        g_lo = np.searchsorted(freqs, self.low, side="left")
+        g_hi = np.searchsorted(freqs, self.high, side="right")
+        self._runs: list[tuple[int, int]] = list(zip(g_lo.tolist(), g_hi.tolist()))
+        self._outdegrees: np.ndarray = self.groups.prefix[g_hi] - self.groups.prefix[g_lo]
+        self._outdegrees.flags.writeable = False
         self._belief_groups: BeliefGroupPartition | None = None
 
     # -- MappingSpace interface ---------------------------------------------
@@ -189,8 +196,7 @@ class FrequencyMappingSpace(MappingSpace):
             yield from self.groups.members[g]
 
     def outdegree(self, item_index: int) -> int:
-        g_lo, g_hi = self._runs[item_index]
-        return int(self.groups.prefix[g_hi] - self.groups.prefix[g_lo])
+        return int(self._outdegrees[item_index])
 
     def true_partner(self, item_index: int) -> int:
         return int(self._true_partner[item_index])
@@ -198,9 +204,8 @@ class FrequencyMappingSpace(MappingSpace):
     # -- fast paths -----------------------------------------------------------
 
     def outdegrees(self) -> np.ndarray:
-        g_lo = np.array([r[0] for r in self._runs], dtype=np.int64)
-        g_hi = np.array([r[1] for r in self._runs], dtype=np.int64)
-        return self.groups.prefix[g_hi] - self.groups.prefix[g_lo]
+        """All outdegrees, computed once at construction (read-only)."""
+        return self._outdegrees
 
     def compliant_mask(self) -> np.ndarray:
         """Boolean mask of compliant items (vectorized)."""

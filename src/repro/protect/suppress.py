@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.beliefs.builders import uniform_width_belief
+from repro.core.oestimate import o_estimate
 from repro.data.database import FrequencyProfile, FrequencySource
 from repro.data.frequency import FrequencyGroups
 from repro.errors import DataError
@@ -53,16 +54,20 @@ def _profile_of(source: FrequencySource) -> FrequencyProfile:
 
 
 def _estimate(profile: FrequencyProfile, delta: float) -> tuple[float, list]:
-    """O-estimate plus items sorted by descending crack probability."""
+    """O-estimate plus items sorted by descending crack probability.
+
+    The value is :func:`~repro.core.oestimate.o_estimate` of the same
+    space, so the stop test agrees with the recipe's assessment in the
+    last bit.
+    """
     frequencies = profile.frequencies()
     belief = uniform_width_belief(frequencies, delta)
     space = space_from_frequencies(belief, frequencies)
     degrees = space.outdegrees()
-    contributions = sorted(
-        ((1.0 / degrees[i], space.items[i]) for i in range(space.n)),
-        key=lambda pair: (-pair[0], repr(pair[1])),
+    ranked = sorted(
+        range(space.n), key=lambda i: (-1.0 / degrees[i], repr(space.items[i]))
     )
-    return float(sum(c for c, _ in contributions)), [item for _, item in contributions]
+    return o_estimate(space).value, [space.items[i] for i in ranked]
 
 
 def suppress_most_exposed(
