@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
+from types import MappingProxyType
 from typing import Hashable, Protocol, runtime_checkable
 
 from repro.errors import EmptyDatabaseError, InvalidTransactionError
@@ -244,6 +245,11 @@ class FrequencyProfile:
     def counts(self) -> dict:
         """A copy of the item -> count mapping."""
         return dict(self._counts)
+
+    @property
+    def counts_view(self) -> Mapping[Item, int]:
+        """A read-only view of the item -> count mapping (no copy)."""
+        return MappingProxyType(self._counts)
 
     def __len__(self) -> int:
         return len(self._domain)

@@ -129,16 +129,25 @@ def profile_to_json(profile: FrequencyProfile) -> dict:
 
 
 def profile_from_json(payload: dict) -> FrequencyProfile:
-    """Rebuild a frequency profile written by :func:`profile_to_json`."""
+    """Rebuild a frequency profile written by :func:`profile_to_json`.
+
+    A payload that lists the same item twice is rejected rather than
+    silently keeping one of its counts.
+    """
     if payload.get("type") != "frequency_profile":
         raise FormatError("payload is not a serialized frequency profile")
     _check_schema(payload)
+    entries = payload["counts"]
     counts = {}
-    for entry in payload["counts"]:
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"malformed count entry: {entry!r}")
         item_encoded, count = entry
         counts[_decode_item(item_encoded)] = int(count)
+    if len(counts) != len(entries):
+        raise FormatError(
+            f"profile lists {len(entries) - len(counts)} duplicate item(s)"
+        )
     return FrequencyProfile(counts, int(payload["n_transactions"]))
 
 

@@ -32,14 +32,9 @@ from repro.data.database import FrequencySource
 from repro.data.frequency import FrequencyGroups
 from repro.errors import BudgetExceeded, GraphError, InfeasibleMatchingError, RecipeError
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
+from repro.simulation.exact import EXACT_COST_BUDGET
 
 __all__ = ["AttackSummary", "Decision", "RiskAssessment", "assess_risk"]
-
-#: The interval rung upgrades from the O-estimate to the exact engine
-#: when the plan's cost hint stays below this (see
-#: :func:`repro.graph.exact.exact_strategy`); pricier plans keep the
-#: historical O-estimate behaviour.
-EXACT_COST_BUDGET = 5e7
 
 
 def _try_exact_interval(

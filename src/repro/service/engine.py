@@ -120,6 +120,16 @@ class _LRU(Generic[_K, _V]):
                 self._data.popitem(last=False)
 
 
+def _fingerprints(
+    profile: FrequencyProfile, params: AssessmentParams
+) -> tuple[str, str]:
+    """``(profile hash, request fingerprint)``, hashing the profile once."""
+    profile_hash = profile_fingerprint(profile)
+    return profile_hash, request_fingerprint(
+        profile, params, profile_hash=profile_hash
+    )
+
+
 def _as_profile(source: FrequencySource) -> FrequencyProfile:
     if isinstance(source, FrequencyProfile):
         return source
@@ -182,13 +192,6 @@ class AssessmentEngine:
         self._attacks: _LRU[tuple[str, float], AttackSummary | None] = _LRU(
             max_spaces * 4
         )
-        # id() -> (profile, fingerprint).  Holding the profile keeps its
-        # id() valid for as long as the entry lives, so re-assessing the
-        # same object (sweeps, repeated server hits) skips the content
-        # hash entirely.
-        self._fingerprints: _LRU[int, tuple[FrequencyProfile, str]] = _LRU(
-            max_profiles * 2
-        )
 
     # -- single requests --------------------------------------------------
 
@@ -236,14 +239,14 @@ class AssessmentEngine:
         start = time.perf_counter()
         self.metrics.increment("requests")
         profile = _as_profile(source)
-        fingerprint = request_fingerprint(
-            profile, params, profile_hash=self._profile_fp(profile)
-        )
+        profile_hash, fingerprint = _fingerprints(profile, params)
 
         def compute() -> RiskAssessment:
             self.metrics.increment("computed")
             with self.metrics.timer("assess"):
-                return self._compute(profile, params, fingerprint, budget=budget)
+                return self._compute(
+                    profile, params, fingerprint, profile_hash, budget=budget
+                )
 
         if budget is None:
             assessment, origin = self.cache.get_or_compute(
@@ -330,9 +333,7 @@ class AssessmentEngine:
             start = time.perf_counter()
             self.metrics.increment("requests")
             profile = _as_profile(source)
-            fingerprint = request_fingerprint(
-                profile, params, profile_hash=self._profile_fp(profile)
-            )
+            _, fingerprint = _fingerprints(profile, params)
             cached = self.cache.get(fingerprint)
             if cached is not None:
                 self.metrics.increment("cache_hits")
@@ -381,9 +382,7 @@ class AssessmentEngine:
         attempts = [0]
         try:
             profile = _as_profile(source)
-            fingerprint = request_fingerprint(
-                profile, params, profile_hash=self._profile_fp(profile)
-            )
+            profile_hash, fingerprint = _fingerprints(profile, params)
         except Exception as exc:
             self.metrics.increment("errors")
             return BatchResult(
@@ -405,8 +404,8 @@ class AssessmentEngine:
             self.metrics.increment("computed")
             with self.metrics.timer("assess"):
                 return self._compute_with_retries(
-                    profile, params, fingerprint, retries, backoff_seconds,
-                    attempts, budget=budget,
+                    profile, params, fingerprint, profile_hash, retries,
+                    backoff_seconds, attempts, budget=budget,
                 )
 
         try:
@@ -454,6 +453,7 @@ class AssessmentEngine:
         profile: FrequencyProfile,
         params: AssessmentParams,
         fingerprint: str,
+        profile_hash: str,
         retries: int,
         backoff_seconds: float,
         attempts: list[int] | None = None,
@@ -480,7 +480,9 @@ class AssessmentEngine:
             if attempts is not None:
                 attempts[0] = attempt + 1
             try:
-                return self._compute(profile, params, fingerprint, budget=budget)
+                return self._compute(
+                    profile, params, fingerprint, profile_hash, budget=budget
+                )
             except ReproError:
                 raise
             except Exception:
@@ -523,32 +525,21 @@ class AssessmentEngine:
 
     # -- shared intermediates ---------------------------------------------
 
-    def _profile_fp(self, profile: FrequencyProfile) -> str:
-        """The profile's content hash, memoized per object identity."""
-        key = id(profile)
-        memo = self._fingerprints.get(key)
-        if memo is not None and memo[0] is profile:
-            return memo[1]
-        fingerprint = profile_fingerprint(profile)
-        self._fingerprints.put(key, (profile, fingerprint))
-        return fingerprint
-
     def _profile_state(
-        self, profile: FrequencyProfile
-    ) -> tuple[str, dict[Any, float], FrequencyGroups]:
-        key = self._profile_fp(profile)
-        state = self._profiles.get(key)
+        self, profile: FrequencyProfile, profile_hash: str
+    ) -> tuple[dict[Any, float], FrequencyGroups]:
+        state = self._profiles.get(profile_hash)
         if state is None:
             with self.metrics.timer("stage:groups"):
                 frequencies = profile.frequencies()
                 state = (frequencies, FrequencyGroups(frequencies))
-            self._profiles.put(key, state)
-        return key, state[0], state[1]
+            self._profiles.put(profile_hash, state)
+        return state
 
     def _space_state(
-        self, profile_key: str, frequencies: dict[Any, float], delta: float
+        self, profile_hash: str, frequencies: dict[Any, float], delta: float
     ) -> FrequencyMappingSpace:
-        key = (profile_key, delta)
+        key = (profile_hash, delta)
         space = self._spaces.get(key)
         if space is None:
             with self.metrics.timer("stage:space"):
@@ -564,12 +555,13 @@ class AssessmentEngine:
         profile: FrequencyProfile,
         params: AssessmentParams,
         fingerprint: str,
+        profile_hash: str,
         budget: ComputeBudget | None = None,
     ) -> RiskAssessment:
         fault_point("engine.compute")
         if budget is not None:
             budget.poll()
-        profile_key, frequencies, groups = self._profile_state(profile)
+        frequencies, groups = self._profile_state(profile, profile_hash)
         n = len(frequencies)
         g = len(groups)
         interest = params.interest
@@ -600,7 +592,7 @@ class AssessmentEngine:
                     "a single frequency group has no gaps; pass delta explicitly"
                 )
             delta = groups.median_gap()
-        space = self._space_state(profile_key, frequencies, delta)
+        space = self._space_state(profile_hash, frequencies, delta)
 
         # Steps 6-7: the fully compliant O-estimate decides; the exact
         # engine additionally serves ground truth when its plan is cheap.
@@ -608,7 +600,7 @@ class AssessmentEngine:
             budget.poll()
         with self.metrics.timer("stage:oestimate"):
             estimate = o_estimate(space, interest=interest)
-        exact_key = (profile_key, delta, interest)
+        exact_key = (profile_hash, delta, interest)
         exact_state = (
             self._exact.get(exact_key) if self.reuse_exact_intermediates else None
         )
@@ -632,7 +624,7 @@ class AssessmentEngine:
             self.metrics.increment(f"exact:{exact_strategy_name}")
         else:
             self.metrics.increment("exact_skipped")
-        attack_key = (profile_key, delta)
+        attack_key = (profile_hash, delta)
         attack = (
             self._attacks.get(attack_key) if self.reuse_exact_intermediates else None
         )

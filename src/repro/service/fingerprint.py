@@ -10,22 +10,32 @@ seeded from the fingerprint itself via :func:`derived_seed`, so results
 are reproducible regardless of which worker runs the job or in what
 order a batch is scheduled.
 
-The canonical payload sorts items by their tagged encoding (the same
-``["int"|"str", value]`` tags :mod:`repro.io` uses), so insertion order
-of the counts mapping never influences the hash, and it embeds
-:data:`repro.io.SCHEMA_VERSION` so cached artifacts are invalidated
-whenever the serialization format changes.
+A profile hashes as one SHA-256 over its items and counts, laid out as
+little-endian int64 arrays sorted by item.  Profiles whose items are not
+all plain ints that fit in int64 (``str`` items, huge ints) take a
+length-prefixed rendering sorted by the ``["int"|"str", value]`` tags
+:mod:`repro.io` uses instead; the encoding name is hashed too, so int
+``1`` and str ``"1"`` never collide.  Either way insertion order of the
+counts mapping never influences the hash.  The hashed header embeds
+:data:`repro.io.SCHEMA_VERSION`, so cached artifacts are invalidated
+whenever the serialization format changes, and the definition tag
+(``fp=2``), so a new definition never collides with an old one.
+
+The service engine hashes each request's profile exactly once and hands
+the result to :func:`request_fingerprint`; nothing is memoized here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.data.database import FrequencySource
+import numpy as np
+
+from repro.data.database import FrequencyProfile, FrequencySource
 from repro.errors import RecipeError
 from repro.io import SCHEMA_VERSION, _encode_item
 
@@ -35,6 +45,10 @@ __all__ = [
     "request_fingerprint",
     "derived_seed",
 ]
+
+#: Version of the profile-hash definition, hashed into every header so
+#: that a new definition never collides with an older one.
+_DEFINITION = 2
 
 
 @dataclass(frozen=True)
@@ -95,26 +109,49 @@ class AssessmentParams:
         )
 
 
-def _canonical_count_entries(source: FrequencySource) -> list[tuple[str, str, int]]:
-    """``(kind, text, count)`` triples sorted by tagged item encoding.
+def _count_mapping(source: FrequencySource) -> Mapping[Any, Any]:
+    """The source's item -> count mapping; a profile's own, not a copy."""
+    if isinstance(source, FrequencyProfile):
+        return source.counts_view
+    return {item: source.item_count(item) for item in source.domain}
+
+
+def _int64_arrays(
+    counts: Mapping[Any, Any],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Items and counts as int64 arrays sorted by item.
+
+    ``None`` when an item is not a plain ``int`` or a value does not fit
+    in int64: such profiles take the tagged encoding instead.
+    """
+    if not set(map(type, counts)) <= {int}:
+        return None
+    n = len(counts)
+    try:
+        items = np.fromiter(counts, np.int64, count=n)
+        values = np.fromiter(counts.values(), np.int64, count=n)
+    except OverflowError:
+        return None
+    order = np.argsort(items)
+    return items[order], values[order]
+
+
+def _tagged_body(counts: Mapping[Any, Any]) -> bytes:
+    """Length-prefixed ``kind/text/count`` records sorted by item tag.
 
     Sorting by the ``(kind, text)`` tag makes the result independent of
-    the counts mapping's insertion order; the length-prefixed rendering
-    in :func:`profile_fingerprint` keeps the encoding injective even for
-    item strings containing the separators.
+    the mapping's insertion order; the length prefix keeps the encoding
+    injective even for item strings containing the separators.
     """
-    counts = getattr(source, "counts", None)
-    if not isinstance(counts, dict):
-        counts = {item: source.item_count(item) for item in source.domain}
     entries = []
     for item, count in counts.items():
-        if isinstance(item, bool) or not isinstance(item, (int, str)):
-            # Same restriction as repro.io: only int/str items serialize.
-            _encode_item(item)
-        kind = "int" if isinstance(item, int) else "str"
-        entries.append((kind, str(item), int(count)))
+        kind, text = _encode_item(item)  # int/str only, like repro.io
+        entries.append((kind, text, int(count)))
     entries.sort()
-    return entries
+    return "\x1e".join(
+        f"{kind}\x1f{len(text)}\x1f{text}\x1f{count}"
+        for kind, text, count in entries
+    ).encode("utf-8")
 
 
 def _digest(payload: dict[str, Any]) -> str:
@@ -123,17 +160,26 @@ def _digest(payload: dict[str, Any]) -> str:
 
 
 def profile_fingerprint(source: FrequencySource) -> str:
-    """Content hash of the data alone (counts + transaction total)."""
-    entries = _canonical_count_entries(source)
-    body = "\x1e".join(
-        f"{kind}\x1f{len(text)}\x1f{text}\x1f{count}"
-        for kind, text, count in entries
+    """Content hash of the data alone (counts + transaction total).
+
+    One SHA-256 over a header (schema, definition, ``m``, ``n`` and the
+    encoding name) followed by the items and counts: little-endian int64
+    arrays sorted by item when every item is an int that fits, else the
+    tagged records of :func:`_tagged_body`.
+    """
+    counts = _count_mapping(source)
+    arrays = _int64_arrays(counts)
+    digest = hashlib.sha256(
+        f"schema={SCHEMA_VERSION};fp={_DEFINITION};kind=profile;"
+        f"m={int(source.n_transactions)};n={len(counts)};"
+        f"encoding={'tagged' if arrays is None else 'int64'};".encode("utf-8")
     )
-    canonical = (
-        f"schema={SCHEMA_VERSION};kind=profile;"
-        f"m={int(source.n_transactions)};counts=" + body
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    if arrays is None:
+        digest.update(_tagged_body(counts))
+    else:
+        for array in arrays:
+            digest.update(array.astype("<i8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def request_fingerprint(
@@ -144,7 +190,8 @@ def request_fingerprint(
     """Content hash of one full question: data + recipe parameters.
 
     *profile_hash* lets callers that already hold the profile's
-    fingerprint (the engine memoizes it) skip rehashing the counts.
+    fingerprint (the engine computes it once per request and also keys
+    its per-profile intermediates by it) skip rehashing the counts.
     """
     return _digest(
         {

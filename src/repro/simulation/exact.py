@@ -28,14 +28,17 @@ from repro.errors import BudgetExceeded, GraphError, NotAChainError, SimulationE
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
 
 __all__ = [
+    "EXACT_COST_BUDGET",
     "sample_chain_cracks",
     "simulate_chain_expected_cracks",
     "best_expected_cracks",
 ]
 
-#: Exact-engine cost hints below this run on the spot; pricier plans
-#: drop to the sampling rungs of the ladder.
-_EXACT_COST_BUDGET = 5e7
+#: Exact-engine cost hints below this run on the spot (see
+#: :func:`repro.graph.exact.exact_strategy`): pricier plans drop to the
+#: sampling rungs of the ladder, and the recipe's interval rung keeps the
+#: O-estimate alone.
+EXACT_COST_BUDGET = 5e7
 
 
 def _boundary_membership(space: FrequencyMappingSpace):
@@ -177,7 +180,7 @@ def best_expected_cracks(
     space: MappingSpace,
     n_samples: int = 1000,
     rng: np.random.Generator | None = None,
-    exact_budget: float = _EXACT_COST_BUDGET,
+    exact_budget: float = EXACT_COST_BUDGET,
     budget: ComputeBudget | None = None,
 ) -> tuple[float, float, str]:
     """Estimate ``E[X]`` by the best rung of the strategy ladder.

@@ -338,11 +338,11 @@ class TestDeadlineAwareRetries:
         original = engine._compute
         state = {"left": failures}
 
-        def compute(profile, params, fingerprint, budget=None):
+        def compute(profile, params, fingerprint, profile_hash, budget=None):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise OSError("transient fault")
-            return original(profile, params, fingerprint, budget=budget)
+            return original(profile, params, fingerprint, profile_hash, budget=budget)
 
         engine._compute = compute  # type: ignore[method-assign]
         return engine
@@ -386,10 +386,10 @@ class TestDeadlineAwareRetries:
         # Burn the whole deadline inside the first attempt.
         original = engine._compute
 
-        def compute(profile, params, fingerprint, budget=None):
+        def compute(profile, params, fingerprint, profile_hash, budget=None):
             if budget is not None:
                 budget._deadline = budget._clock() - 1.0
-            return original(profile, params, fingerprint, budget=budget)
+            return original(profile, params, fingerprint, profile_hash, budget=budget)
 
         engine._compute = compute  # type: ignore[method-assign]
         start = time.perf_counter()
