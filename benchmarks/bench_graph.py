@@ -5,7 +5,8 @@ Ryser-only path across domain sizes, the attacker-workbench solver as an
 ``exact_strategy(preprocess=True)`` front end (forced pairs peeled off,
 forbidden edges deleted, blocks re-split), the twin-quotient edge
 classification of frequency spaces against the item-graph one, the vectorized
-O-estimate against the per-item loop, plus the vectorized Gibbs
+O-estimate against the per-item loop, the array-built frequency groups and
+space analysis against their per-item construction, plus the vectorized Gibbs
 sweep against the legacy per-item Python loop, and writes the results as
 machine-readable JSON (``BENCH_graph.json`` at the repo root) so future
 changes have a perf trajectory to compare against.
@@ -340,6 +341,92 @@ def bench_oestimate(smoke: bool, check: bool) -> list[dict]:
     return rows
 
 
+def per_item_structures(frequencies, space):
+    """The frequency groups and the space analysis built item by item, as
+    before both were built from arrays: dict-grouped frequencies, then
+    the per-item decomposition, belief groups and block problems."""
+    from repro.graph.blocks import _decompose_frequency
+    from repro.graph.exact import _frequency_block_problem
+    from repro.graph.groups import BeliefGroupPartition
+
+    by_freq: dict[float, list] = {}
+    for item, freq in frequencies.items():
+        by_freq.setdefault(freq, []).append(item)
+    frequencies_sorted = tuple(sorted(by_freq))
+    groups = tuple(tuple(sorted(by_freq[f], key=repr)) for f in frequencies_sorted)
+    decomposition = _decompose_frequency(space)
+    belief_groups = BeliefGroupPartition(
+        [space.admissible_run(i) for i in range(space.n)]
+    ).groups
+    problems = tuple(
+        _frequency_block_problem(space, block) for block in decomposition.blocks
+    )
+    return frequencies_sorted, groups, decomposition, belief_groups, problems
+
+
+def array_structures(frequencies, space):
+    """The same, built from arrays (a fresh analysis, not the space's memo).
+
+    Returns the builders' objects; :func:`array_fields` reads the fields
+    the reference returns, which materializes the groups' lazy tuples.
+    """
+    from repro.data.frequency import FrequencyGroups
+    from repro.graph.groups import FrequencyAnalysis
+
+    return FrequencyGroups(frequencies), FrequencyAnalysis(*space.admissible_runs(), space.groups)
+
+
+def array_fields(groups, analysis):
+    return (
+        groups.frequencies_sorted,
+        groups.groups,
+        analysis.decomposition,
+        analysis.belief_groups.groups,
+        analysis.problems,
+    )
+
+
+def bench_space_analysis(smoke: bool, check: bool) -> list[dict]:
+    """Frequency groups and the space analysis, from arrays vs item by item."""
+    from repro.beliefs.builders import uniform_width_belief
+    from repro.data.frequency import FrequencyGroups
+    from repro.datasets.benchmarks import BENCHMARK_SPECS, generate_benchmark_profile
+
+    rows = []
+    for name in ("pumsb",) if smoke else ("pumsb", "retail"):
+        profile = generate_benchmark_profile(BENCHMARK_SPECS[name], np.random.default_rng(0))
+        frequencies = profile.frequencies()
+        delta = FrequencyGroups(frequencies).median_gap()
+        space = space_from_frequencies(uniform_width_belief(frequencies, delta), frequencies)
+        reference, item_s = best_of(5, per_item_structures, frequencies, space)
+        built, array_s = best_of(5, array_structures, frequencies, space)
+        arrays = array_fields(*built)
+        # BlockProblem is a named tuple: it equals the reference's plain tuple.
+        agrees = arrays == reference
+        if check:
+            assert agrees, f"{name}: array-built groups or analysis differ from per-item"
+        decomposition = arrays[2]
+        row = {
+            "instance": f"{name}-delta-med",
+            "n": space.n,
+            "frequency_groups": len(arrays[0]),
+            "belief_groups": len(arrays[3]),
+            "blocks": len(decomposition.blocks),
+            "matchable": decomposition.matchable,
+            "per_item_s": item_s,
+            "arrays_s": array_s,
+            "speedup": item_s / array_s if array_s > 0 else None,
+            "agrees": agrees,
+        }
+        rows.append(row)
+        print(
+            f"  {row['instance']:18s} n={space.n:6d} blocks={row['blocks']:5d}  "
+            f"per-item={item_s * 1e3:7.3f}ms arrays={array_s * 1e3:7.3f}ms "
+            f"({row['speedup']:.1f}x)"
+        )
+    return rows
+
+
 def ryser_expected_cracks(space) -> float:
     """The historical direct method: one Ryser minor per item."""
     matrix = space.adjacency_matrix()
@@ -612,6 +699,8 @@ def main(argv=None) -> int:
     )
     print("O-estimate (vectorized vs per-item loop):")
     oestimate_rows = bench_oestimate(smoke=args.smoke, check=True)
+    print("frequency groups + space analysis (arrays vs per-item):")
+    space_rows = bench_space_analysis(smoke=args.smoke, check=True)
     gibbs = bench_gibbs(n=200 if args.smoke else 1000, sweeps=5 if args.smoke else 20)
     print("vectorized kernels and sweep memo:")
     kernels = bench_kernels(smoke=args.smoke, check=True)
@@ -641,6 +730,7 @@ def main(argv=None) -> int:
         "solver_preprocess": preprocess_rows,
         "classify": classify_rows,
         "oestimate": oestimate_rows,
+        "space": space_rows,
         "gibbs_sweep": gibbs,
         "kernels": kernels,
     }

@@ -23,7 +23,7 @@ from repro.beliefs.function import BeliefFunction
 from repro.beliefs.interval import FULL_INTERVAL, Interval
 from repro.data.database import FrequencySource
 from repro.data.frequency import FrequencyGroups
-from repro.errors import BeliefError
+from repro.errors import BeliefError, InvalidIntervalError
 
 __all__ = [
     "ignorant_belief",
@@ -53,10 +53,30 @@ def interval_belief(intervals: Mapping[Item, object]) -> BeliefFunction:
 
 
 def uniform_width_belief(frequencies: Mapping[Item, float], delta: float) -> BeliefFunction:
-    """Compliant intervals ``[f - delta, f + delta]`` (Figure 8, step 5)."""
-    return BeliefFunction(
-        {item: Interval.around(freq, delta) for item, freq in frequencies.items()}
-    )
+    """Compliant intervals ``[f - delta, f + delta]`` (Figure 8, step 5).
+
+    Equal to ``Interval.around(f, delta)`` per item, computed as arrays:
+    the ends are ``max(0, f - delta)`` and ``min(1, f + delta)`` with
+    Python's ``max``/``min`` semantics, and the first invalid interval
+    raises what :class:`Interval` would.
+    """
+    if not frequencies:
+        raise BeliefError("a belief function needs a non-empty domain")
+    if delta < 0:
+        raise InvalidIntervalError(f"width delta must be non-negative, got {delta}")
+    values = np.fromiter(frequencies.values(), dtype=np.float64, count=len(frequencies))
+    below, above = values - delta, values + delta
+    # max(0.0, x) is x only when x > 0.0, min(1.0, x) only when x < 1.0
+    # (so a NaN end clamps, as with the builtins).
+    low = np.where(below > 0.0, below, 0.0)
+    high = np.where(above < 1.0, above, 1.0)
+    invalid = np.flatnonzero(~(low <= high))
+    if len(invalid):
+        i = int(invalid[0])
+        raise InvalidIntervalError(
+            f"interval [{low[i].item()}, {high[i].item()}] violates 0 <= low <= high <= 1"
+        )
+    return BeliefFunction.from_bounds(tuple(frequencies), low, high)
 
 
 def _noncompliant_interval(

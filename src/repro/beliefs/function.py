@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Hashable
+
+import numpy as np
 
 from repro.beliefs.interval import FULL_INTERVAL, Interval
 from repro.errors import BeliefError, DomainMismatchError
@@ -31,9 +33,12 @@ class BeliefFunction:
     * :attr:`is_ignorant` — every interval is ``[0, 1]``;
     * :meth:`is_compliant_for` / :meth:`compliancy` — containment of the
       true frequencies (full and fractional alpha-compliancy).
+
+    :meth:`from_bounds` keeps the intervals as two arrays instead; its
+    :class:`Interval` objects are created only when read.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_mapping", "_items", "_low", "_high", "_positions")
 
     def __init__(self, intervals: Mapping[Item, object]):
         if not intervals:
@@ -41,7 +46,60 @@ class BeliefFunction:
         normalized: dict[Item, Interval] = {}
         for item, value in intervals.items():
             normalized[item] = self._coerce(value)
-        self._intervals = normalized
+        self._mapping: dict[Item, Interval] | None = normalized
+        self._items: tuple[Item, ...] | None = None
+        self._low: np.ndarray | None = None
+        self._high: np.ndarray | None = None
+        self._positions: dict[Item, int] | None = None
+
+    @classmethod
+    def from_bounds(
+        cls, items: Sequence[Item], low: np.ndarray, high: np.ndarray
+    ) -> "BeliefFunction":
+        """The belief ``items[i] -> [low[i], high[i]]``, kept as arrays.
+
+        *items* must be distinct and the ends valid intervals (callers
+        check them as :class:`Interval` would).
+        """
+        if not len(items):
+            raise BeliefError("a belief function needs a non-empty domain")
+        belief = cls.__new__(cls)
+        belief._mapping = None
+        belief._items = tuple(items)
+        belief._low = np.asarray(low, dtype=np.float64)
+        belief._high = np.asarray(high, dtype=np.float64)
+        belief._positions = None
+        return belief
+
+    @property
+    def _intervals(self) -> dict[Item, Interval]:
+        """The item -> interval mapping, materialized on first use."""
+        if self._mapping is None:
+            self._mapping = {
+                item: Interval(low, high)
+                for item, low, high in zip(self._items, self._low.tolist(), self._high.tolist())
+            }
+        return self._mapping
+
+    def bounds(self, items: Sequence[Item]) -> tuple[np.ndarray, np.ndarray]:
+        """The low and high ends of the intervals of *items*, as float64 arrays."""
+        if self._low is None:
+            intervals = [self[item] for item in items]
+            return (
+                np.array([iv.low for iv in intervals], dtype=np.float64),
+                np.array([iv.high for iv in intervals], dtype=np.float64),
+            )
+        if self._positions is None:
+            self._positions = dict(zip(self._items, range(len(self._items))))
+        try:
+            index = np.fromiter(
+                map(self._positions.__getitem__, items), dtype=np.int64, count=len(items)
+            )
+        except KeyError as missing:
+            raise BeliefError(
+                f"belief function has no interval for item {missing.args[0]!r}"
+            ) from None
+        return self._low[index], self._high[index]
 
     @staticmethod
     def _coerce(value: object) -> Interval:
@@ -58,7 +116,9 @@ class BeliefFunction:
     @property
     def domain(self) -> frozenset:
         """The item universe the belief function covers."""
-        return frozenset(self._intervals)
+        if self._mapping is None:
+            return frozenset(self._items)
+        return frozenset(self._mapping)
 
     def __getitem__(self, item: Item) -> Interval:
         try:
@@ -70,10 +130,14 @@ class BeliefFunction:
         return item in self._intervals
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        if self._mapping is None:
+            return len(self._items)
+        return len(self._mapping)
 
     def __iter__(self):
-        return iter(self._intervals)
+        if self._mapping is None:
+            return iter(self._items)
+        return iter(self._mapping)
 
     def items(self):
         """Iterate over ``(item, interval)`` pairs."""
@@ -88,7 +152,7 @@ class BeliefFunction:
         return hash(frozenset(self._intervals.items()))
 
     def __repr__(self) -> str:
-        return f"BeliefFunction(n_items={len(self._intervals)})"
+        return f"BeliefFunction(n_items={len(self)})"
 
     # -- paper taxonomy --------------------------------------------------------
 

@@ -11,9 +11,11 @@ median gap, Section 6.1).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
+
+import numpy as np
 
 from repro.data.database import FrequencySource, Item
 from repro.errors import DataError
@@ -72,26 +74,41 @@ class FrequencyGroups:
     groups:
         ``groups[i]`` is the tuple of items whose frequency is
         ``frequencies_sorted[i]``.
+
+    Notes
+    -----
+    The groups are found with one ``np.unique`` over the frequency
+    array; the per-item structures (the ``repr``-sorted member tuples
+    and the item -> group index) are built on first use, and the gap
+    statistics once.
     """
 
-    __slots__ = ("_freqs", "_groups", "_group_of_item")
+    __slots__ = (
+        "_items",
+        "_freqs",
+        "_sizes",
+        "_group_ids",
+        "_groups",
+        "_group_of_item",
+        "_gap_statistics",
+    )
 
     def __init__(self, frequencies: dict):
         if not frequencies:
             raise DataError("cannot build frequency groups over an empty domain")
-        by_freq: dict[float, list] = defaultdict(list)
-        for item, freq in frequencies.items():
-            if not 0.0 <= freq <= 1.0:
-                raise DataError(f"frequency {freq} of item {item!r} outside [0, 1]")
-            by_freq[freq].append(item)
-        self._freqs: tuple[float, ...] = tuple(sorted(by_freq))
-        self._groups: tuple[tuple, ...] = tuple(
-            tuple(sorted(by_freq[f], key=repr)) for f in self._freqs
-        )
-        self._group_of_item: dict[Item, int] = {}
-        for index, group in enumerate(self._groups):
-            for item in group:
-                self._group_of_item[item] = index
+        values = np.fromiter(frequencies.values(), dtype=np.float64, count=len(frequencies))
+        valid = (values >= 0.0) & (values <= 1.0)
+        if not valid.all():
+            item = next(islice(frequencies, int(np.argmin(valid)), None))
+            raise DataError(f"frequency {frequencies[item]} of item {item!r} outside [0, 1]")
+        unique, group_ids, sizes = np.unique(values, return_inverse=True, return_counts=True)
+        self._items: list = list(frequencies)
+        self._freqs: tuple[float, ...] = tuple(unique.tolist())
+        self._sizes: tuple[int, ...] = tuple(sizes.tolist())
+        self._group_ids: np.ndarray = group_ids.reshape(-1)
+        self._groups: tuple[tuple, ...] | None = None
+        self._group_of_item: dict[Item, int] | None = None
+        self._gap_statistics: GapStatistics | None = None
 
     @classmethod
     def from_source(cls, source: FrequencySource) -> "FrequencyGroups":
@@ -108,19 +125,29 @@ class FrequencyGroups:
     @property
     def groups(self) -> tuple[tuple, ...]:
         """The item groups, aligned with :attr:`frequencies_sorted`."""
+        if self._groups is None:
+            by_group = np.argsort(self._group_ids, kind="stable").tolist()
+            stops = np.cumsum(self._sizes).tolist()
+            items = self._items
+            self._groups = tuple(
+                tuple(sorted((items[i] for i in by_group[start:stop]), key=repr))
+                for start, stop in zip([0, *stops], stops)
+            )
         return self._groups
 
     @property
     def sizes(self) -> tuple[int, ...]:
         """Group sizes ``n_1, ..., n_k``."""
-        return tuple(len(g) for g in self._groups)
+        return self._sizes
 
     def __len__(self) -> int:
         """The number of distinct frequency groups ``g`` (Lemma 3)."""
-        return len(self._groups)
+        return len(self._freqs)
 
     def group_index(self, item: Item) -> int:
         """Index of the group containing *item*."""
+        if self._group_of_item is None:
+            self._group_of_item = dict(zip(self._items, self._group_ids.tolist()))
         try:
             return self._group_of_item[item]
         except KeyError:
@@ -135,15 +162,17 @@ class FrequencyGroups:
     @property
     def n_singletons(self) -> int:
         """Number of size-1 groups ('Size 1 Gps.' column of Figure 9)."""
-        return sum(1 for g in self._groups if len(g) == 1)
+        return self._sizes.count(1)
 
     def gaps(self) -> tuple[float, ...]:
         """Gaps ``f_{i+1} - f_i`` between successive group frequencies."""
         return tuple(b - a for a, b in zip(self._freqs, self._freqs[1:]))
 
     def gap_statistics(self) -> GapStatistics:
-        """Mean/median/min/max gap (Figure 9, lower table)."""
-        return GapStatistics.from_gaps(self.gaps())
+        """Mean/median/min/max gap (Figure 9, lower table), computed once."""
+        if self._gap_statistics is None:
+            self._gap_statistics = GapStatistics.from_gaps(self.gaps())
+        return self._gap_statistics
 
     def median_gap(self) -> float:
         """The paper's ``delta_med`` — the median frequency gap (Section 6.1)."""
@@ -154,4 +183,4 @@ class FrequencyGroups:
         return self.gap_statistics().mean
 
     def __repr__(self) -> str:
-        return f"FrequencyGroups(n_groups={len(self._groups)}, n_items={len(self._group_of_item)})"
+        return f"FrequencyGroups(n_groups={len(self._freqs)}, n_items={len(self._items)})"

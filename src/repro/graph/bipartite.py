@@ -32,7 +32,7 @@ from repro.anonymize.database import AnonymizedDatabase
 from repro.anonymize.mapping import AnonymizedItem
 from repro.beliefs.function import BeliefFunction
 from repro.errors import DomainMismatchError, GraphError
-from repro.graph.groups import BeliefGroupPartition, ObservedGroups
+from repro.graph.groups import BeliefGroupPartition, FrequencyAnalysis, ObservedGroups
 
 __all__ = [
     "MappingSpace",
@@ -157,18 +157,56 @@ class FrequencyMappingSpace(MappingSpace):
         intervals: Sequence[tuple[float, float]],
         true_partner_of: Sequence[int],
     ):
-        if not (len(items) == len(anonymized) == len(observed) == len(intervals) == len(true_partner_of)):
+        self._set_up(
+            items,
+            anonymized,
+            observed,
+            np.array([iv[0] for iv in intervals], dtype=np.float64),
+            np.array([iv[1] for iv in intervals], dtype=np.float64),
+            true_partner_of,
+        )
+
+    @classmethod
+    def from_bounds(
+        cls,
+        items: Sequence[Item],
+        anonymized: Sequence[Item],
+        observed: Sequence[float],
+        low: np.ndarray,
+        high: np.ndarray,
+        true_partner_of: Sequence[int],
+    ) -> "FrequencyMappingSpace":
+        """The space whose belief intervals are ``[low[i], high[i]]``.
+
+        Same as passing ``intervals=zip(low, high)``, without building
+        one pair per item.
+        """
+        space = cls.__new__(cls)
+        space._set_up(items, anonymized, observed, low, high, true_partner_of)
+        return space
+
+    def _set_up(
+        self,
+        items: Sequence[Item],
+        anonymized: Sequence[Item],
+        observed: Sequence[float],
+        low: np.ndarray,
+        high: np.ndarray,
+        true_partner_of: Sequence[int],
+    ) -> None:
+        if not (len(items) == len(anonymized) == len(observed) == len(low) == len(high) == len(true_partner_of)):
             raise GraphError("items, anonymized, observed, intervals and pairing must align")
         if len(items) == 0:
             raise GraphError("a mapping space needs a non-empty domain")
         self.items = tuple(items)
         self.anonymized = tuple(anonymized)
         self.observed = np.asarray(observed, dtype=np.float64)
-        self.low = np.array([iv[0] for iv in intervals], dtype=np.float64)
-        self.high = np.array([iv[1] for iv in intervals], dtype=np.float64)
-        self._true_partner = np.asarray(true_partner_of, dtype=np.int64)
-        if sorted(self._true_partner.tolist()) != list(range(len(items))):
+        self.low = np.asarray(low, dtype=np.float64)
+        self.high = np.asarray(high, dtype=np.float64)
+        self._true_partner = np.array(true_partner_of, dtype=np.int64)
+        if not np.array_equal(np.sort(self._true_partner), np.arange(len(items))):
             raise GraphError("true pairing must be a permutation of the anonymized indices")
+        self._true_partner.flags.writeable = False
         if np.isnan(self.low).any() or np.isnan(self.high).any():
             raise GraphError("belief intervals must not have NaN ends")
         self.groups = ObservedGroups(self.observed)
@@ -177,12 +215,13 @@ class FrequencyMappingSpace(MappingSpace):
         # bisect_right on the high end) done as one search per end; the
         # outdegrees are prefix-sum differences over the runs.
         freqs = np.asarray(self.groups.freqs, dtype=np.float64)
-        g_lo = np.searchsorted(freqs, self.low, side="left")
-        g_hi = np.searchsorted(freqs, self.high, side="right")
-        self._runs: list[tuple[int, int]] = list(zip(g_lo.tolist(), g_hi.tolist()))
-        self._outdegrees: np.ndarray = self.groups.prefix[g_hi] - self.groups.prefix[g_lo]
-        self._outdegrees.flags.writeable = False
-        self._belief_groups: BeliefGroupPartition | None = None
+        self._g_lo: np.ndarray = np.searchsorted(freqs, self.low, side="left")
+        self._g_hi: np.ndarray = np.searchsorted(freqs, self.high, side="right")
+        self._outdegrees: np.ndarray = self.groups.prefix[self._g_hi] - self.groups.prefix[self._g_lo]
+        for array in (self._g_lo, self._g_hi, self._outdegrees):
+            array.flags.writeable = False
+        self._runs: list[tuple[int, int]] | None = None
+        self._analysis: FrequencyAnalysis | None = None
 
     # -- MappingSpace interface ---------------------------------------------
 
@@ -191,7 +230,7 @@ class FrequencyMappingSpace(MappingSpace):
         return bool(self.low[item_index] <= f <= self.high[item_index])
 
     def candidates(self, item_index: int) -> Iterator[int]:
-        g_lo, g_hi = self._runs[item_index]
+        g_lo, g_hi = self.admissible_run(item_index)
         for g in range(g_lo, g_hi):
             yield from self.groups.members[g]
 
@@ -217,13 +256,27 @@ class FrequencyMappingSpace(MappingSpace):
 
     def admissible_run(self, item_index: int) -> tuple[int, int]:
         """The item's admissible frequency-group run ``[g_lo, g_hi)``."""
+        if self._runs is None:
+            self._runs = list(zip(self._g_lo.tolist(), self._g_hi.tolist()))
         return self._runs[item_index]
+
+    def admissible_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every item's run ends ``(g_lo, g_hi)`` as read-only int64 arrays."""
+        return self._g_lo, self._g_hi
+
+    def true_partners(self) -> np.ndarray:
+        """``true_partner(i)`` for every item, as a read-only int64 array."""
+        return self._true_partner
+
+    def analysis(self) -> FrequencyAnalysis:
+        """Belief groups, blocks and per-block DP problems, built once."""
+        if self._analysis is None:
+            self._analysis = FrequencyAnalysis(self._g_lo, self._g_hi, self.groups)
+        return self._analysis
 
     def belief_groups(self) -> BeliefGroupPartition:
         """Partition of items into belief groups (Section 3.2), built once."""
-        if self._belief_groups is None:
-            self._belief_groups = BeliefGroupPartition(self._runs)
-        return self._belief_groups
+        return self.analysis().belief_groups
 
     def true_group(self, item_index: int) -> int:
         """Frequency-group index of the item's true anonymized partner."""
@@ -304,15 +357,18 @@ def space_from_frequencies(
     if belief.domain != frozenset(true_frequencies):
         raise DomainMismatchError("belief function and frequency table cover different domains")
     items = sorted(true_frequencies, key=repr)
-    observed = [float(true_frequencies[x]) for x in items]
-    anonymized = tuple(AnonymizedItem(i + 1) for i in range(len(items)))
-    intervals = [(belief[x].low, belief[x].high) for x in items]
-    return FrequencyMappingSpace(
+    n = len(items)
+    observed = np.fromiter(
+        map(true_frequencies.__getitem__, items), dtype=np.float64, count=n
+    )
+    low, high = belief.bounds(items)
+    return FrequencyMappingSpace.from_bounds(
         items=items,
-        anonymized=anonymized,
+        anonymized=tuple(map(AnonymizedItem, range(1, n + 1))),
         observed=observed,
-        intervals=intervals,
-        true_partner_of=list(range(len(items))),
+        low=low,
+        high=high,
+        true_partner_of=np.arange(n, dtype=np.int64),
     )
 
 
@@ -332,12 +388,13 @@ def space_from_anonymized(
     anon_index = {a: j for j, a in enumerate(anonymized)}
     observed_map = anonymized_db.observed_frequencies()
     observed = [float(observed_map[a]) for a in anonymized]
-    intervals = [(belief[x].low, belief[x].high) for x in items]
+    low, high = belief.bounds(items)
     pairing = [anon_index[mapping.anonymize_item(x)] for x in items]
-    return FrequencyMappingSpace(
+    return FrequencyMappingSpace.from_bounds(
         items=items,
         anonymized=tuple(anonymized),
         observed=observed,
-        intervals=intervals,
+        low=low,
+        high=high,
         true_partner_of=pairing,
     )

@@ -13,75 +13,28 @@ have extra structure: every item's candidate set is a contiguous run of
 frequency groups (interval beliefs), so components are maximal *segments*
 of the sorted frequency groups, split at every boundary no belief
 interval spans.  That makes decomposition ``O(n + k)`` — no union-find
-pass over edges, which may number ``Theta(n^2)``.
+pass over edges, which may number ``Theta(n^2)``.  A frequency space
+keeps the result in its :class:`~repro.graph.groups.FrequencyAnalysis`,
+built once from the run-end arrays together with the belief groups and
+each block's interval-DP problem, so the exact engine's plan, its
+marginals and the attack summary all read one structure.
 
 Explicit spaces fall back to a union-find over the actual edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
+from repro.graph.groups import Block, BlockDecomposition
 
 __all__ = ["Block", "BlockDecomposition", "decompose"]
 
 
-@dataclass(frozen=True)
-class Block:
-    """One connected component of the bipartite mapping graph.
-
-    Attributes
-    ----------
-    item_indices:
-        Original-item indices (global, ascending).
-    anon_indices:
-        Anonymized-item indices (global, ascending).
-    group_range:
-        For frequency spaces, the global frequency-group segment
-        ``[a, b)`` the block covers; ``None`` for explicit spaces.
-    """
-
-    item_indices: tuple[int, ...]
-    anon_indices: tuple[int, ...]
-    group_range: tuple[int, int] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.item_indices)
-
-    @property
-    def balanced(self) -> bool:
-        return len(self.item_indices) == len(self.anon_indices)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """All components of a space, plus whether a perfect matching can exist.
-
-    ``matchable`` is a cheap *necessary* condition (every component is
-    balanced and every item has at least one candidate); when it is
-    ``False`` the permanent is exactly 0 and every exact quantity is
-    trivial.  When ``True``, a matching may still fail to exist (Hall's
-    condition inside a block) — the per-block engines detect that.
-    """
-
-    blocks: tuple[Block, ...]
-    matchable: bool
-    reason: str | None = None
-
-    @property
-    def largest_block(self) -> int:
-        return max((block.n for block in self.blocks), default=0)
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(block.n for block in self.blocks)
-
-
 def _decompose_frequency(space: FrequencyMappingSpace) -> BlockDecomposition:
+    """The per-item decomposition, the reference the space's
+    :class:`~repro.graph.groups.FrequencyAnalysis` is checked against."""
     k = len(space.groups)
     runs = [space.admissible_run(i) for i in range(space.n)]
     for i, (g_lo, g_hi) in enumerate(runs):
@@ -193,7 +146,10 @@ def _decompose_generic(space: MappingSpace) -> BlockDecomposition:
 
 
 def decompose(space: MappingSpace) -> BlockDecomposition:
-    """Split a mapping space into the connected components of its graph."""
+    """Split a mapping space into the connected components of its graph.
+
+    A frequency space answers from its :meth:`~FrequencyMappingSpace.analysis`.
+    """
     if isinstance(space, FrequencyMappingSpace):
-        return _decompose_frequency(space)
+        return space.analysis().decomposition
     return _decompose_generic(space)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,6 +34,7 @@ if TYPE_CHECKING:
     from repro.graph.refine import EdgeClassification
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
 from repro.graph.blocks import Block, BlockDecomposition, decompose
+from repro.graph.groups import BlockProblem
 from repro.graph.intervaldp import (
     DEFAULT_BUDGET,
     DPBudget,
@@ -128,7 +128,9 @@ class ExactPlan:
 def _frequency_block_problem(
     space: FrequencyMappingSpace, block: Block
 ) -> tuple[tuple[int, ...], dict[tuple[int, int], int], int]:
-    """Capacities, interchangeability classes and run width of one block."""
+    """Capacities, interchangeability classes and run width of one block,
+    item by item: the reference the analysis's :class:`BlockProblem` is
+    checked against."""
     a, b = block.group_range
     capacities = tuple(int(c) for c in space.groups.counts[a:b])
     classes: dict[tuple[int, int], int] = {}
@@ -203,16 +205,18 @@ def _plain_strategy(space: MappingSpace, limit: int | None = None) -> ExactPlan:
             reason=decomposition.reason,
         )
 
-    is_frequency = isinstance(space, FrequencyMappingSpace)
+    problems = (
+        space.analysis().problems if isinstance(space, FrequencyMappingSpace) else None
+    )
     block_strategies: list[str] = []
     cost = 0
     feasible = True
     reason = None
-    for block in decomposition.blocks:
-        if is_frequency:
-            capacities, classes, width = _frequency_block_problem(space, block)
+    for index, block in enumerate(decomposition.blocks):
+        if problems is not None:
+            capacities, classes, width = problems[index]
             hint = _dp_cost_hint(capacities, classes, width)
-            if hint <= block.n * 2**block.n or block.n > limit:
+            if block.n > limit or hint <= block.n * 2**block.n:
                 block_strategies.append(STRATEGY_INTERVAL_DP)
                 cost += hint * max(len(classes), 1)
             else:
@@ -377,11 +381,9 @@ def _batched_permanents(matrices: list[np.ndarray], budget: DPBudget) -> list[in
     return results
 
 
-def _frequency_block_count(
-    space: FrequencyMappingSpace, block: Block, budget: DPBudget
-) -> tuple[int, int]:
+def _frequency_block_count(problem: BlockProblem, budget: DPBudget) -> tuple[int, int]:
     """(assignment count, matching count) of one frequency block."""
-    capacities, classes, _ = _frequency_block_problem(space, block)
+    capacities, classes, _ = problem
     assignments = assignment_count(capacities, classes, budget=budget)
     matchings = assignments
     for c in capacities:
@@ -438,16 +440,17 @@ def count_matchings_exact(
     if not decomposition.matchable:
         return 0
     total = 1
-    explicit_matrices = []
-    for block in decomposition.blocks:
-        if isinstance(space, FrequencyMappingSpace):
-            _, matchings = _frequency_block_count(space, block, budget)
+    if isinstance(space, FrequencyMappingSpace):
+        for problem in space.analysis().problems:
+            _, matchings = _frequency_block_count(problem, budget)
             if matchings == 0:
                 return 0
             total *= matchings
-        else:
-            _require_ryser_block(block, limit)
-            explicit_matrices.append(_block_adjacency(space, block))
+        return total
+    explicit_matrices = []
+    for block in decomposition.blocks:
+        _require_ryser_block(block, limit)
+        explicit_matrices.append(_block_adjacency(space, block))
     for matchings in _batched_permanents(explicit_matrices, budget):
         if matchings == 0:
             return 0
@@ -464,35 +467,44 @@ def _require_ryser_block(block: Block, limit: int) -> None:
         )
 
 
-def _frequency_block_marginals(
-    space: FrequencyMappingSpace,
-    block: Block,
-    marginals: np.ndarray,
-    budget: DPBudget,
+def _frequency_marginals(
+    space: FrequencyMappingSpace, marginals: np.ndarray, budget: DPBudget
 ) -> None:
-    a, b = block.group_range
-    capacities, classes, _ = _frequency_block_problem(space, block)
-    total, placement = class_placement_totals(capacities, classes, budget=budget)
-    if total == 0:
-        raise InfeasibleMatchingError("no consistent perfect matching exists")
-    group_of = space.groups.group_of
-    # Items sharing (run class, true group) share a marginal:
-    # P(item -> g) = S[(run, g)] / (total * class size), and landing in
-    # the true group cracks with probability 1 / capacity.
-    for i in block.item_indices:
-        g_lo, g_hi = space.admissible_run(i)
-        true_group = int(group_of[space.true_partner(i)])
-        if not g_lo <= true_group < g_hi:
-            continue  # non-compliant: never cracked
-        run = (g_lo - a, g_hi - a)
-        local_group = true_group - a
-        placed = placement.get((run, local_group), 0)
-        # repro-lint: disable-next-line=EX004 -- probability boundary: exact Fraction rounded once into the output array
-        marginals[i] = float(
-            Fraction(
-                placed, total * classes[run] * capacities[local_group]
-            )
-        )
+    """Marginals of a matchable frequency space, one DP sweep per block.
+
+    Items sharing (belief group, true group) share a marginal:
+    P(item -> g) = S[(run, g)] / (total * class size), and landing in
+    the true group cracks with probability 1 / capacity.  Non-compliant
+    items are never cracked.
+    """
+    analysis = space.analysis()
+    g_lo, g_hi = space.admissible_runs()
+    true_group = space.groups.group_of[space.true_partners()]
+    compliant = np.flatnonzero((g_lo <= true_group) & (true_group < g_hi))
+    classes = analysis.belief_groups.groups
+    n_classes = len(classes)
+    pairs, pair_of_item = np.unique(
+        true_group[compliant] * n_classes + analysis.class_of_item[compliant],
+        return_inverse=True,
+    )
+    # Pairs ascend by true group, so each block's pairs are one slice.
+    starts = [block.group_range[0] for block in analysis.decomposition.blocks]
+    cuts = [*np.searchsorted(pairs, np.asarray(starts) * n_classes).tolist(), len(pairs)]
+    pair_groups = (pairs // n_classes).tolist()
+    pair_classes = (pairs % n_classes).tolist()
+    values: list[float] = []
+    for b, (a, problem) in enumerate(zip(starts, analysis.problems)):
+        capacities = problem.capacities
+        total, placement = class_placement_totals(capacities, problem.classes, budget=budget)
+        if total == 0:
+            raise InfeasibleMatchingError("no consistent perfect matching exists")
+        block_pairs = slice(cuts[b], cuts[b + 1])
+        for group, c in zip(pair_groups[block_pairs], pair_classes[block_pairs]):
+            lo, hi = classes[c].group_range
+            placed = placement.get(((lo - a, hi - a), group - a), 0)
+            denominator = total * len(classes[c].items) * capacities[group - a]
+            values.append(placed / denominator)  # repro-lint: disable=EX002 -- probability boundary: exact-count ratio, correctly rounded once into the output array
+    marginals[compliant] = np.asarray(values)[pair_of_item.reshape(-1)]
 
 
 def _explicit_marginals_batched(
@@ -574,13 +586,13 @@ def crack_marginals_exact(
     decomposition = decompose(space)
     if not decomposition.matchable:
         raise InfeasibleMatchingError("no consistent perfect matching exists")
+    if isinstance(space, FrequencyMappingSpace):
+        _frequency_marginals(space, marginals, budget)
+        return marginals
     explicit: list[tuple[Block, np.ndarray]] = []
     for block in decomposition.blocks:
-        if isinstance(space, FrequencyMappingSpace):
-            _frequency_block_marginals(space, block, marginals, budget)
-        else:
-            _require_ryser_block(block, limit)
-            explicit.append((block, _block_adjacency(space, block)))
+        _require_ryser_block(block, limit)
+        explicit.append((block, _block_adjacency(space, block)))
     if explicit:
         _explicit_marginals_batched(space, explicit, marginals, budget)
     return marginals

@@ -58,6 +58,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import overload
 
+import numpy as np
+
 from repro.budget import ComputeBudget
 from repro.errors import GraphError
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
@@ -210,6 +212,10 @@ class EdgeClassification:
         For frequency spaces, the classification on belief-group x
         frequency-group pairs; ``undecided`` and ``forbidden`` are then
         built from it on first read.
+    certified_cracks:
+        :meth:`forced_cracks` of the classified space, counted while
+        classifying; set by :func:`classify_edges` for frequency spaces,
+        ``None`` otherwise.
     """
 
     n: int
@@ -220,6 +226,7 @@ class EdgeClassification:
     hall_witness: tuple[int, ...] | None = None
     reason: str | None = None
     quotient: TwinQuotient | None = field(default=None, repr=False, compare=False)
+    certified_cracks: int | None = field(default=None, compare=False)
 
     @property
     def n_forced(self) -> int:
@@ -623,6 +630,8 @@ def _classify_frequency(
         )
     else:
         status, forced, n_forbidden = _twin_statuses(classes, members, flow, users, budget)
+    truth = space.true_partners()
+    certified = int(np.count_nonzero(truth[list(forced)] == list(forced.values())))
     quotient = TwinQuotient(
         n=space.n,
         classes=classes,
@@ -639,6 +648,7 @@ def _classify_frequency(
         hall_witness=witness,
         reason=reason,
         quotient=quotient,
+        certified_cracks=certified,
     )
 
 

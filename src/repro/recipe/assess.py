@@ -122,8 +122,10 @@ def _attack_summary(
         return None
     except GraphError:
         return None
-    decomposition = decompose(space)
-    before = decomposition.largest_block
+    # Both are read, not computed: the decomposition is the space's
+    # analysis, shared with the exact stage, and the frequency
+    # classification counted its certified cracks while classifying.
+    before = decompose(space).largest_block
     if classification.infeasible:
         return AttackSummary(
             forced_pairs=0,
@@ -135,7 +137,7 @@ def _attack_summary(
     after = max((block.n for block in reduced_blocks(classification)), default=0)
     return AttackSummary(
         forced_pairs=classification.n_forced,
-        certified_cracks=classification.forced_cracks(space),
+        certified_cracks=classification.certified_cracks,
         forbidden_edges=classification.n_forbidden,
         largest_block_before=before,
         largest_block_after=after,
