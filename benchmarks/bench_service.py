@@ -16,18 +16,26 @@ Run with::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import statistics
 import threading
 import time
 
 import pytest
 
 from repro.datasets import load_benchmark
-from repro.io import assessment_to_json
+from repro.io import assessment_to_json, profile_from_json, profile_to_json
 from repro.recipe import assess_risk
-from repro.service import AssessmentCache, AssessmentEngine, AssessmentParams
+from repro.service import (
+    AssessmentCache,
+    AssessmentEngine,
+    AssessmentParams,
+    profile_fingerprint,
+)
 from repro.service.faults import fault_point
+from repro.service.routes import _gc_paused
 
 BATCH_BENCHMARKS = ("retail", "pumsb", "accidents", "connect")
 
@@ -253,6 +261,65 @@ def test_service_atomic_write_overhead(report, tmp_path):
             "no orphan temp files left behind",
         ],
     )
+
+
+def test_service_request_decode(report):
+    """A RETAIL-size tagged body: json.loads + decode + fingerprint, paused or not.
+
+    The ``POST /assess`` front end on a cache hit.  Without the pause,
+    the two lists per tagged item survive the collections the parse
+    triggers and drive full (generation-2) collections; with it, none
+    run inside the decode.
+    """
+    profile = load_benchmark("retail").profile
+    body = json.dumps({"profile": profile_to_json(profile), "tolerance": 0.1}).encode()
+    rounds = 30
+    full_collections = {"gc on": 0, "paused": 0}
+    seconds: dict[str, list[float]] = {"gc on": [], "paused": []}
+    current = ["gc on"]
+
+    def count_full(phase, info):
+        if phase == "start" and info["generation"] == 2:
+            full_collections[current[0]] += 1
+
+    def decode():
+        payload = json.loads(body)
+        return profile_fingerprint(profile_from_json(payload.pop("profile")))
+
+    expected = profile_fingerprint(profile)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count_full)
+    try:
+        for _ in range(rounds):
+            for label in ("gc on", "paused"):
+                current[0] = label
+                start = time.perf_counter()
+                if label == "paused":
+                    with _gc_paused():
+                        fingerprint = decode()
+                else:
+                    fingerprint = decode()
+                seconds[label].append(time.perf_counter() - start)
+                assert fingerprint == expected
+    finally:
+        gc.callbacks.remove(count_full)
+        if not was_enabled:
+            gc.disable()
+
+    median_ms = {label: statistics.median(times) * 1e3 for label, times in seconds.items()}
+    report(
+        "service_request_decode",
+        [
+            f"RETAIL profile, {len(profile)} items, {len(body) / 1024:.0f} kB tagged body",
+            f"{rounds} alternating rounds of json.loads + profile_from_json + fingerprint",
+            f"gc on: median {median_ms['gc on']:7.2f} ms, "
+            f"{full_collections['gc on']} full collections",
+            f"paused: median {median_ms['paused']:7.2f} ms, "
+            f"{full_collections['paused']} full collections (floor: 0)",
+        ],
+    )
+    assert full_collections["paused"] == 0
 
 
 def test_perf_engine_cold_assess(benchmark):

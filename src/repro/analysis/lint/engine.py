@@ -314,6 +314,7 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
 def _ensure_rules_loaded() -> None:
     # Deferred so engine <-> rules_* imports stay acyclic.
     from repro.analysis.lint import (  # noqa: F401
+        rules_concurrency,
         rules_determinism,
         rules_exactness,
         rules_faults,

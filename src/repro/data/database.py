@@ -24,10 +24,13 @@ Both satisfy the :class:`FrequencySource` protocol.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
 from typing import Hashable, Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.errors import EmptyDatabaseError, InvalidTransactionError
 
@@ -192,22 +195,79 @@ class FrequencyProfile:
         define the domain.
     n_transactions:
         Total number of transactions the counts were taken over.  Every
-        count must lie in ``[0, n_transactions]``.
+        count must be an integer in ``[0, n_transactions]``.
+
+    Notes
+    -----
+    The profile holds its items in canonical order and their counts as
+    an aligned int64 array.  The order is ascending when every item is a
+    plain ``int`` that fits in int64 (the items are then an int64 array
+    too) and the mapping's order otherwise.  The item -> count dict and
+    the domain are built on first use, so a profile decoded from JSON
+    can be fingerprinted without one per-item Python object.
     """
 
-    __slots__ = ("_counts", "_n_transactions", "_domain")
+    __slots__ = ("_items", "_item_array", "_count_array", "_n_transactions", "_counts", "_domain")
 
     def __init__(self, counts: Mapping[Item, int], n_transactions: int):
         if n_transactions <= 0:
             raise EmptyDatabaseError("a frequency profile needs at least one transaction")
-        for item, count in counts.items():
-            if not 0 <= count <= n_transactions:
-                raise InvalidTransactionError(
-                    f"count {count} for item {item!r} outside [0, {n_transactions}]"
-                )
-        self._counts = dict(counts)
+        items = list(counts)
+        count_array = _validated_counts(items, list(counts.values()), n_transactions)
+        item_array = _int64_array(items)
+        if item_array is None:
+            self._set(items, None, count_array, n_transactions)
+        else:
+            order = np.argsort(item_array)
+            self._set(None, item_array[order], count_array[order], n_transactions)
+
+    @classmethod
+    def from_int64(
+        cls,
+        items: np.ndarray,
+        counts: np.ndarray,
+        n_transactions: int,
+        order: np.ndarray | None = None,
+    ) -> "FrequencyProfile":
+        """The profile ``cls(dict(zip(items, counts)), n_transactions)``, from arrays.
+
+        *items* and *counts* are aligned int64 arrays; the items must be
+        distinct.  *order*, when the caller already has it, is
+        ``np.argsort(items)``.  Errors are the mapping constructor's,
+        naming the first offending position of the arrays as given.
+        """
+        if n_transactions <= 0:
+            raise EmptyDatabaseError("a frequency profile needs at least one transaction")
+        bad = _out_of_range(counts, n_transactions)
+        if len(bad):
+            i = int(bad[0])
+            raise _outside(counts[i].item(), items[i].item(), n_transactions)
+        if order is None:
+            order = np.argsort(items)
+        ranked = items[order]
+        duplicates = int(np.count_nonzero(ranked[1:] == ranked[:-1]))
+        if duplicates:
+            raise InvalidTransactionError(f"{duplicates} duplicate item(s)")
+        profile = cls.__new__(cls)
+        profile._set(None, ranked, counts[order], n_transactions)
+        return profile
+
+    def _set(
+        self,
+        items: list | None,
+        item_array: np.ndarray | None,
+        count_array: np.ndarray,
+        n_transactions: int,
+    ) -> None:
+        for array in (item_array, count_array):
+            if array is not None:
+                array.flags.writeable = False
+        self._items = items
+        self._item_array = item_array
+        self._count_array = count_array
         self._n_transactions = int(n_transactions)
-        self._domain = frozenset(self._counts)
+        self._counts: dict | None = None
+        self._domain: frozenset | None = None
 
     @classmethod
     def from_frequencies(cls, frequencies: Mapping[Item, float], n_transactions: int) -> "FrequencyProfile":
@@ -215,11 +275,35 @@ class FrequencyProfile:
         counts = {item: round(freq * n_transactions) for item, freq in frequencies.items()}
         return cls(counts, n_transactions)
 
+    # -- canonical representation -------------------------------------------
+
+    def _item_list(self) -> list:
+        if self._items is None:
+            self._items = self._item_array.tolist()
+        return self._items
+
+    def _mapping(self) -> dict:
+        if self._counts is None:
+            self._counts = dict(zip(self._item_list(), self._count_array.tolist()))
+        return self._counts
+
+    def int64_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Items (ascending) and their counts as read-only int64 arrays.
+
+        ``None`` unless every item is a plain ``int`` and every item and
+        count fits in int64.
+        """
+        if self._item_array is None or self._count_array.dtype != np.int64:
+            return None
+        return self._item_array, self._count_array
+
     # -- FrequencySource ------------------------------------------------
 
     @property
     def domain(self) -> frozenset:
         """The universe of items ``I``."""
+        if self._domain is None:
+            self._domain = frozenset(self._item_list())
         return self._domain
 
     @property
@@ -229,38 +313,111 @@ class FrequencyProfile:
 
     def item_count(self, item: Item) -> int:
         """Number of transactions containing *item*."""
-        return self._counts.get(item, 0)
+        return self._mapping().get(item, 0)
 
     def frequency(self, item: Item) -> float:
         """Fraction of transactions containing *item*."""
-        return self._counts.get(item, 0) / self._n_transactions
+        return self._mapping().get(item, 0) / self._n_transactions
 
     def frequencies(self) -> dict:
-        """Mapping of every domain item to its frequency."""
-        return {item: count / self._n_transactions for item, count in self._counts.items()}
+        """Mapping of every domain item to its frequency, in canonical order.
+
+        One array division while ``n_transactions <= 2**53``: every count
+        and the total are then exact doubles, so IEEE division rounds the
+        quotient exactly as Python's ``count / n`` does.  Larger totals
+        take Python's division item by item.
+        """
+        n = self._n_transactions
+        if n <= _EXACT_DOUBLE_INTS:
+            return dict(zip(self._item_list(), (self._count_array / n).tolist()))
+        return {
+            item: count / n
+            for item, count in zip(self._item_list(), self._count_array.tolist())
+        }
 
     # -- misc --------------------------------------------------------------
 
     @property
     def counts(self) -> dict:
         """A copy of the item -> count mapping."""
-        return dict(self._counts)
+        return dict(self._mapping())
 
     @property
     def counts_view(self) -> Mapping[Item, int]:
         """A read-only view of the item -> count mapping (no copy)."""
-        return MappingProxyType(self._counts)
+        return MappingProxyType(self._mapping())
 
     def __len__(self) -> int:
-        return len(self._domain)
+        return len(self._count_array)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrequencyProfile):
             return NotImplemented
-        return self._counts == other._counts and self._n_transactions == other._n_transactions
+        if self._n_transactions != other._n_transactions:
+            return False
+        if self._item_array is not None and other._item_array is not None:
+            return bool(
+                np.array_equal(self._item_array, other._item_array)
+                and np.array_equal(self._count_array, other._count_array)
+            )
+        return self._mapping() == other._mapping()
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._counts.items()), self._n_transactions))
+        return hash((frozenset(self._mapping().items()), self._n_transactions))
 
     def __repr__(self) -> str:
-        return f"FrequencyProfile(n_items={len(self._domain)}, n_transactions={self._n_transactions})"
+        return f"FrequencyProfile(n_items={len(self)}, n_transactions={self._n_transactions})"
+
+
+#: Every integer of magnitude up to 2**53 is exactly a double.
+_EXACT_DOUBLE_INTS = 2**53
+
+_INT64_MAX = 2**63 - 1
+
+
+def _int64_array(values: list) -> np.ndarray | None:
+    """*values* as an int64 array; ``None`` unless all are plain ints that fit."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return np.fromiter(values, np.int64, count=len(values))
+    except OverflowError:
+        return None
+
+
+def _out_of_range(counts: np.ndarray, n_transactions: int) -> np.ndarray:
+    """Positions of the int64 counts outside ``[0, n_transactions]``."""
+    return np.flatnonzero((counts < 0) | (counts > min(n_transactions, _INT64_MAX)))
+
+
+def _validated_counts(items: list, values: list, n_transactions: int) -> np.ndarray:
+    """The counts as an array (int64 when they fit), checked like the items' loop.
+
+    The first count, in mapping order, outside ``[0, n_transactions]``
+    or not an integer raises :class:`InvalidTransactionError`.
+    """
+    array = _int64_array(values)
+    if array is not None:
+        bad = _out_of_range(array, n_transactions)
+        if len(bad):
+            i = int(bad[0])
+            raise _outside(values[i], items[i], n_transactions)
+        return array
+    exact = []
+    for item, count in zip(items, values):
+        if not 0 <= count <= n_transactions:
+            raise _outside(count, item, n_transactions)
+        try:
+            exact.append(operator.index(count))
+        except TypeError:
+            raise InvalidTransactionError(
+                f"count {count!r} for item {item!r} is not an integer"
+            ) from None
+    try:
+        return np.array(exact, dtype=np.int64)
+    except OverflowError:  # counts beyond int64, over a total beyond it
+        return np.array(exact, dtype=object)
+
+
+def _outside(count: object, item: object, n_transactions: int) -> InvalidTransactionError:
+    return InvalidTransactionError(f"count {count} for item {item!r} outside [0, {n_transactions}]")

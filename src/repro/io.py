@@ -18,8 +18,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Union
+from typing import Any, Callable, Union
+
+import numpy as np
 
 from repro.beliefs.function import BeliefFunction
 from repro.beliefs.interval import Interval
@@ -132,23 +135,79 @@ def profile_from_json(payload: dict) -> FrequencyProfile:
     """Rebuild a frequency profile written by :func:`profile_to_json`.
 
     A payload that lists the same item twice is rejected rather than
-    silently keeping one of its counts.
+    silently keeping one of its counts, and so is a count that is not a
+    JSON integer (``3.7``, ``true``, ``"12"``).
+
+    When every entry is ``[["int", text], count]`` and every item and
+    count fits in int64, the entries are decoded in bulk into int64
+    arrays and duplicates are found between neighbours after one sort.
+    Anything else (``str`` or mixed items, huge ints, a malformed entry)
+    takes the per-entry decode, which also names the first offending
+    entry of a payload the bulk checks reject.
     """
     if payload.get("type") != "frequency_profile":
         raise FormatError("payload is not a serialized frequency profile")
     _check_schema(payload)
     entries = payload["counts"]
+    arrays = _int_entries(entries)
+    if arrays is None:
+        counts = _decode_entries(entries)
+        if len(counts) != len(entries):
+            raise FormatError(
+                f"profile lists {len(entries) - len(counts)} duplicate item(s)"
+            )
+        return FrequencyProfile(counts, int(payload["n_transactions"]))
+    items, values = arrays
+    order = np.argsort(items)
+    ranked = items[order]
+    duplicates = int(np.count_nonzero(ranked[1:] == ranked[:-1]))
+    if duplicates:
+        raise FormatError(f"profile lists {duplicates} duplicate item(s)")
+    return FrequencyProfile.from_int64(
+        items, values, int(payload["n_transactions"]), order=order
+    )
+
+
+def _int_entries(entries: object) -> tuple[np.ndarray, np.ndarray] | None:
+    """Items and counts of ``[["int", text], count]`` entries as int64 arrays.
+
+    One ``set(map(...))`` check per level of the tagged list instead of
+    one check per entry.  ``None`` when an entry is not of that shape, a
+    count is not a plain int, or an item or count does not fit in int64.
+    """
+    if type(entries) is not list:
+        return None
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return None
+    tags = list(map(itemgetter(0), entries))
+    counts = list(map(itemgetter(1), entries))
+    n = len(entries)
+    if not (
+        set(map(type, tags)) <= {list}
+        and set(map(len, tags)) <= {2}
+        and list(map(itemgetter(0), tags)).count("int") == n
+        and set(map(type, counts)) <= {int}
+    ):
+        return None
+    try:
+        items = np.fromiter(map(int, map(itemgetter(1), tags)), np.int64, count=n)
+        values = np.fromiter(counts, np.int64, count=n)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return items, values
+
+
+def _decode_entries(entries: Any) -> dict:
+    """The item -> count mapping of a tagged count list, entry by entry."""
     counts = {}
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"malformed count entry: {entry!r}")
         item_encoded, count = entry
-        counts[_decode_item(item_encoded)] = int(count)
-    if len(counts) != len(entries):
-        raise FormatError(
-            f"profile lists {len(entries) - len(counts)} duplicate item(s)"
-        )
-    return FrequencyProfile(counts, int(payload["n_transactions"]))
+        if type(count) is not int:
+            raise FormatError(f"count must be a JSON integer, got {count!r} in {entry!r}")
+        counts[_decode_item(item_encoded)] = count
+    return counts
 
 
 def assessment_to_json(assessment: RiskAssessment) -> dict:

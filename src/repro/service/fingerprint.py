@@ -33,8 +33,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.data.database import FrequencyProfile, FrequencySource
 from repro.errors import RecipeError
 from repro.io import SCHEMA_VERSION, _encode_item
@@ -109,33 +107,6 @@ class AssessmentParams:
         )
 
 
-def _count_mapping(source: FrequencySource) -> Mapping[Any, Any]:
-    """The source's item -> count mapping; a profile's own, not a copy."""
-    if isinstance(source, FrequencyProfile):
-        return source.counts_view
-    return {item: source.item_count(item) for item in source.domain}
-
-
-def _int64_arrays(
-    counts: Mapping[Any, Any],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Items and counts as int64 arrays sorted by item.
-
-    ``None`` when an item is not a plain ``int`` or a value does not fit
-    in int64: such profiles take the tagged encoding instead.
-    """
-    if not set(map(type, counts)) <= {int}:
-        return None
-    n = len(counts)
-    try:
-        items = np.fromiter(counts, np.int64, count=n)
-        values = np.fromiter(counts.values(), np.int64, count=n)
-    except OverflowError:
-        return None
-    order = np.argsort(items)
-    return items[order], values[order]
-
-
 def _tagged_body(counts: Mapping[Any, Any]) -> bytes:
     """Length-prefixed ``kind/text/count`` records sorted by item tag.
 
@@ -163,19 +134,27 @@ def profile_fingerprint(source: FrequencySource) -> str:
     """Content hash of the data alone (counts + transaction total).
 
     One SHA-256 over a header (schema, definition, ``m``, ``n`` and the
-    encoding name) followed by the items and counts: little-endian int64
-    arrays sorted by item when every item is an int that fits, else the
-    tagged records of :func:`_tagged_body`.
+    encoding name) followed by the items and counts: the profile's own
+    little-endian int64 arrays, sorted by item, when every item is an
+    int that fits, else the tagged records of :func:`_tagged_body`.
+    Other sources are tabulated into a profile first.
     """
-    counts = _count_mapping(source)
-    arrays = _int64_arrays(counts)
+    profile = (
+        source
+        if isinstance(source, FrequencyProfile)
+        else FrequencyProfile(
+            {item: source.item_count(item) for item in source.domain},
+            source.n_transactions,
+        )
+    )
+    arrays = profile.int64_arrays()
     digest = hashlib.sha256(
         f"schema={SCHEMA_VERSION};fp={_DEFINITION};kind=profile;"
-        f"m={int(source.n_transactions)};n={len(counts)};"
+        f"m={profile.n_transactions};n={len(profile)};"
         f"encoding={'tagged' if arrays is None else 'int64'};".encode("utf-8")
     )
     if arrays is None:
-        digest.update(_tagged_body(counts))
+        digest.update(_tagged_body(profile.counts_view))
     else:
         for array in arrays:
             digest.update(array.astype("<i8", copy=False).tobytes())

@@ -22,6 +22,7 @@ and both get identical behaviour from one implementation.
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -50,9 +51,39 @@ _MAX_SEED = 2**64 - 1
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Serializes the check-and-disable in :func:`_gc_paused`.
+_GC_LOCK = threading.Lock()
+
 #: Routes that exist, per method — anything else is a 404.
 GET_ROUTES = ("/healthz", "/metrics")
 POST_ROUTES = ("/assess", "/crack/step")
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for one request decode.
+
+    A tagged profile is two JSON lists per item, all alive until the
+    decode ends, so collections triggered while it is built promote
+    every one of them to the oldest generation and make full collections
+    frequent.  Nothing the decode builds forms a cycle: with the
+    collector off, its temporaries die by reference count instead.
+
+    Only the thread that finds the collector enabled disables it, and the
+    same thread enables it again on exit, exceptions included.  Threads
+    entering while it is off leave it alone, so a pause never outlives
+    the decode that started it, and a caller that turned the collector
+    off keeps it off.
+    """
+    with _GC_LOCK:
+        owner = gc.isenabled()
+        if owner:
+            gc.disable()
+    try:
+        yield
+    finally:
+        if owner:
+            gc.enable()
 
 
 class RouteResponse:
@@ -208,12 +239,14 @@ class ServiceCore:
 
     def _assess(self, body: bytes | None) -> RouteResponse:
         try:
-            payload = self._parse_body(body)
-            if "profile" not in payload:
-                raise ValueError("missing required key 'profile'")
-            if "tolerance" not in payload:
-                raise ValueError("missing required key 'tolerance'")
-            profile = profile_from_json(payload["profile"])
+            with _gc_paused():
+                payload = self._parse_body(body)
+                if "profile" not in payload:
+                    raise ValueError("missing required key 'profile'")
+                if "tolerance" not in payload:
+                    raise ValueError("missing required key 'tolerance'")
+                # Popped, so the tagged lists die inside the pause.
+                profile = profile_from_json(payload.pop("profile"))
             interest = payload.get("interest")
             tolerance = float(payload["tolerance"])
             if not tolerance >= 0:

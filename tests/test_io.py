@@ -60,6 +60,26 @@ class TestProfileRoundtrip:
         with pytest.raises(FormatError):
             profile_from_json({"type": "belief_function"})
 
+    @pytest.mark.parametrize("count", [3.7, 3.0, True, False, "12", None], ids=repr)
+    def test_non_integral_count_rejected(self, count):
+        payload = profile_to_json(FrequencyProfile({1: 3, 2: 7}, 10))
+        payload["counts"][1][1] = count
+        with pytest.raises(FormatError, match="count must be a JSON integer"):
+            profile_from_json(payload)
+
+    @pytest.mark.parametrize("count", [3.7, True, "12"], ids=repr)
+    def test_non_integral_count_rejected_for_str_items(self, count):
+        payload = profile_to_json(FrequencyProfile({"a": 3, "b": 7}, 10))
+        payload["counts"][0][1] = count
+        with pytest.raises(FormatError, match="count must be a JSON integer"):
+            profile_from_json(payload)
+
+    def test_integer_counts_round_trip(self):
+        profile = FrequencyProfile({-4: 0, 2: 10, 2**70: 5, "s": 1}, 10)
+        restored = profile_from_json(profile_to_json(profile))
+        assert restored == profile
+        assert restored.counts == {-4: 0, 2: 10, 2**70: 5, "s": 1}
+
 
 class TestAssessmentRoundtrip:
     def test_disclose_assessment(self):

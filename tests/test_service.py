@@ -361,6 +361,17 @@ class TestServer:
         assert body["error"]["type"] == "FormatError"
         assert "duplicate" in body["error"]["message"]
 
+    def test_non_integral_count_is_400(self, live_server, profile):
+        payload = profile_to_json(profile)
+        payload["counts"][0][1] = 3.7
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(f"{live_server}/assess", {"profile": payload, "tolerance": 0.1})
+        with excinfo.value as error:
+            assert error.code == 400
+            body = json.loads(error.read())
+        assert body["error"]["type"] == "FormatError"
+        assert "JSON integer" in body["error"]["message"]
+
     def test_unknown_path_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{live_server}/nope")
