@@ -608,14 +608,15 @@ def bench_kernels(smoke: bool, check: bool) -> dict:
     tolerances = [round(0.01 + 0.005 * t, 6) for t in range(5 if smoke else 20)]
 
     def run_sweep(reuse: bool) -> tuple[list[dict], float]:
-        engine = AssessmentEngine(reuse_exact_intermediates=reuse)
+        engine = AssessmentEngine()
         clear_dp_memo()
         start = time.perf_counter()
         outcomes = []
         for tolerance in tolerances:
             if not reuse:
                 # Emulate the pre-memo engine: every tolerance re-solves
-                # the DP from scratch.
+                # the DP and the engine's intermediates from scratch.
+                engine = AssessmentEngine()
                 clear_dp_memo()
             outcomes.append(engine.assess(profile, tolerance, runs=3, seed=0))
         elapsed = time.perf_counter() - start

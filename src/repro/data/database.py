@@ -34,7 +34,9 @@ import numpy as np
 
 from repro.errors import EmptyDatabaseError, InvalidTransactionError
 
-__all__ = ["Item", "Transaction", "FrequencySource", "TransactionDatabase", "FrequencyProfile"]
+__all__ = [
+    "Item", "Transaction", "FrequencySource", "TransactionDatabase", "FrequencyProfile", "as_profile"
+]
 
 Item = Hashable
 Transaction = frozenset
@@ -367,6 +369,18 @@ class FrequencyProfile:
 
     def __repr__(self) -> str:
         return f"FrequencyProfile(n_items={len(self)}, n_transactions={self._n_transactions})"
+
+
+def as_profile(source: FrequencySource) -> FrequencyProfile:
+    """*source* as a :class:`FrequencyProfile`: itself, its ``to_profile()``,
+    or a tabulation of its per-item counts."""
+    if isinstance(source, FrequencyProfile):
+        return source
+    to_profile = getattr(source, "to_profile", None)
+    if to_profile is not None:
+        return to_profile()
+    counts = {item: source.item_count(item) for item in source.domain}
+    return FrequencyProfile(counts, source.n_transactions)
 
 
 #: Every integer of magnitude up to 2**53 is exactly a double.

@@ -38,6 +38,7 @@ __all__ = [
     "belief_from_json",
     "profile_to_json",
     "profile_from_json",
+    "json_int",
     "assessment_to_json",
     "assessment_from_json",
     "save_json",
@@ -131,12 +132,13 @@ def profile_to_json(profile: FrequencyProfile) -> dict:
     }
 
 
-def profile_from_json(payload: dict) -> FrequencyProfile:
+def profile_from_json(payload: object) -> FrequencyProfile:
     """Rebuild a frequency profile written by :func:`profile_to_json`.
 
     A payload that lists the same item twice is rejected rather than
-    silently keeping one of its counts, and so is a count that is not a
-    JSON integer (``3.7``, ``true``, ``"12"``).
+    silently keeping one of its counts, and so is a count or an
+    ``n_transactions`` that is not a JSON integer (``3.7``, ``true``,
+    ``"12"``), as is a payload that is not an object.
 
     When every entry is ``[["int", text], count]`` and every item and
     count fits in int64, the entries are decoded in bulk into int64
@@ -145,9 +147,10 @@ def profile_from_json(payload: dict) -> FrequencyProfile:
     takes the per-entry decode, which also names the first offending
     entry of a payload the bulk checks reject.
     """
-    if payload.get("type") != "frequency_profile":
+    if not isinstance(payload, dict) or payload.get("type") != "frequency_profile":
         raise FormatError("payload is not a serialized frequency profile")
     _check_schema(payload)
+    n_transactions = json_int(payload["n_transactions"], "n_transactions")
     entries = payload["counts"]
     arrays = _int_entries(entries)
     if arrays is None:
@@ -156,16 +159,25 @@ def profile_from_json(payload: dict) -> FrequencyProfile:
             raise FormatError(
                 f"profile lists {len(entries) - len(counts)} duplicate item(s)"
             )
-        return FrequencyProfile(counts, int(payload["n_transactions"]))
+        return FrequencyProfile(counts, n_transactions)
     items, values = arrays
     order = np.argsort(items)
     ranked = items[order]
     duplicates = int(np.count_nonzero(ranked[1:] == ranked[:-1]))
     if duplicates:
         raise FormatError(f"profile lists {duplicates} duplicate item(s)")
-    return FrequencyProfile.from_int64(
-        items, values, int(payload["n_transactions"]), order=order
-    )
+    return FrequencyProfile.from_int64(items, values, n_transactions, order=order)
+
+
+def json_int(value: object, name: str) -> int:
+    """*value* when it is a JSON integer; :class:`FormatError` otherwise.
+
+    A float (``3.7``, even ``3.0``), ``true`` or a string (``"12"``) is
+    rejected rather than truncated into a different number.
+    """
+    if type(value) is not int:
+        raise FormatError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _int_entries(entries: object) -> tuple[np.ndarray, np.ndarray] | None:

@@ -34,7 +34,7 @@ from repro.errors import BudgetExceeded, GraphError, InfeasibleMatchingError, Re
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
 from repro.simulation.exact import EXACT_COST_BUDGET
 
-__all__ = ["AttackSummary", "Decision", "RiskAssessment", "assess_risk"]
+__all__ = ["AttackSummary", "Decision", "RecipeStages", "RiskAssessment", "assess_risk"]
 
 
 def _try_exact_interval(
@@ -269,6 +269,61 @@ class RiskAssessment:
         return "\n".join(lines)
 
 
+class RecipeStages:
+    """The recipe's intermediates, one method per stage.
+
+    :func:`assess_risk` asks its *stages* for every expensive value, so a
+    caller can memoize or time them without a second copy of the recipe
+    (the service engine keys them by profile hash and ``delta``).  These
+    defaults compute each value from scratch.
+    """
+
+    def groups(self, source: FrequencySource) -> tuple[dict, FrequencyGroups]:
+        """The item frequencies and their frequency groups."""
+        frequencies = source.frequencies()
+        return frequencies, FrequencyGroups(frequencies)
+
+    def space(self, frequencies: dict, delta: float) -> FrequencyMappingSpace:
+        """The compliant interval belief's mapping space of half-width *delta*."""
+        belief = uniform_width_belief(frequencies, delta)
+        return space_from_frequencies(belief, frequencies)
+
+    def o_estimate(
+        self, space: FrequencyMappingSpace, interest: frozenset | None
+    ) -> OEstimateResult:
+        """The fully compliant O-estimate (step 6)."""
+        return o_estimate(space, interest=interest)
+
+    def exact(
+        self,
+        space: FrequencyMappingSpace,
+        interest: frozenset | None,
+        budget: ComputeBudget | None,
+    ) -> tuple[float | None, str | None]:
+        """Exact expected cracks and the strategy used, or ``(None, None)``."""
+        return _try_exact_interval(space, interest, budget)
+
+    def attack(
+        self, space: FrequencyMappingSpace, budget: ComputeBudget | None
+    ) -> AttackSummary | None:
+        """The attacker workbench's certified facts, or ``None``."""
+        return _attack_summary(space, budget)
+
+    def alpha(
+        self,
+        space: FrequencyMappingSpace,
+        tolerance: float,
+        runs: int,
+        rng: np.random.Generator | None,
+        interest: frozenset | None,
+    ) -> float:
+        """The largest tolerable degree of compliancy (step 9)."""
+        return compute_alpha_max(space, tolerance, runs=runs, rng=rng, interest=interest)
+
+
+_DEFAULT_STAGES = RecipeStages()
+
+
 def assess_risk(
     source: FrequencySource,
     tolerance: float,
@@ -277,6 +332,8 @@ def assess_risk(
     rng: np.random.Generator | None = None,
     interest: "Iterable | None" = None,
     budget: ComputeBudget | None = None,
+    *,
+    stages: RecipeStages = _DEFAULT_STAGES,
 ) -> RiskAssessment:
     """Run the Assess-Risk recipe (Figure 8) on a database or profile.
 
@@ -300,18 +357,21 @@ def assess_risk(
         highest margin).  Every stage then counts expected cracks among
         these items only, against a budget of ``tolerance * |I_1|``.
     budget:
-        Optional :class:`~repro.budget.ComputeBudget` polled at every
-        stage boundary and threaded into the exact engine.  When it runs
-        out *after* a decision rung has produced a bounded estimate, the
-        recipe returns an ``INCONCLUSIVE`` assessment carrying a
+        Optional :class:`~repro.budget.ComputeBudget`, polled before the
+        O-estimate and before the alpha search and threaded into the
+        exact and attack stages.  When it runs out *after* the interval
+        rung has produced a bounded estimate, the recipe returns an
+        ``INCONCLUSIVE`` assessment carrying a
         :class:`~repro.budget.PartialEstimate` instead of raising; when
         nothing is ready yet, :class:`~repro.errors.BudgetExceeded`
         propagates with ``partial=None``.
+    stages:
+        Provider of the stage intermediates (:class:`RecipeStages`);
+        the default computes each one from scratch.
     """
     if not 0.0 <= tolerance <= 1.0:
         raise RecipeError(f"tolerance must be in [0, 1], got {tolerance}")
-    frequencies = source.frequencies()
-    groups = FrequencyGroups(frequencies)
+    frequencies, groups = stages.groups(source)
     n = len(frequencies)
     g = len(groups)
     if interest is not None:
@@ -338,25 +398,24 @@ def assess_risk(
         )
 
     # Steps 3-5: compliant interval belief with the median-gap width.
-    # Nothing is bounded yet, so exhaustion here propagates partial-less.
-    if budget is not None:
-        budget.poll()
     if delta is None:
         if g < 2:
             raise RecipeError(
                 "a single frequency group has no gaps; pass delta explicitly"
             )
         delta = groups.median_gap()
-    belief = uniform_width_belief(frequencies, delta)
-    space = space_from_frequencies(belief, frequencies)
+    space = stages.space(frequencies, delta)
 
     # Steps 6-7: the fully compliant O-estimate decides (Figure 8); the
     # structure-exploiting engine additionally reports the *exact*
     # expected cracks whenever it has a cheap plan (interval beliefs
     # usually do — see docs/exact.md), exposing the O-estimate's bias.
-    estimate = o_estimate(space, interest=interest)
-    exact_cracks, exact_strategy_name = _try_exact_interval(space, interest, budget)
-    attack = _attack_summary(space, budget)
+    # Nothing is bounded yet, so exhaustion here propagates partial-less.
+    if budget is not None:
+        budget.poll()
+    estimate = stages.o_estimate(space, interest)
+    exact_cracks, exact_strategy_name = stages.exact(space, interest, budget)
+    attack = stages.attack(space, budget)
     if estimate.value <= tolerance * basis:
         return RiskAssessment(
             decision=Decision.DISCLOSE_INTERVAL,
@@ -377,7 +436,7 @@ def assess_risk(
     try:
         if budget is not None:
             budget.poll()
-        alpha = compute_alpha_max(space, tolerance, runs=runs, rng=rng, interest=interest)
+        alpha = stages.alpha(space, tolerance, runs, rng, interest)
     except BudgetExceeded as exc:
         partial = exc.partial if isinstance(exc.partial, PartialEstimate) else (
             PartialEstimate(

@@ -1,26 +1,27 @@
 """The reusable Assess-Risk engine behind the service layer.
 
-:func:`repro.recipe.assess.assess_risk` answers one question from
-scratch.  The :class:`AssessmentEngine` turns that recipe into a
-server-grade component:
+:func:`repro.recipe.assess.assess_risk` is the one implementation of the
+recipe.  The :class:`AssessmentEngine` wraps it in what a server needs:
 
 * **Result cache** — answers are content-addressed by
   :func:`~repro.service.fingerprint.request_fingerprint`; a repeated
   question is a dictionary lookup (plus an optional disk tier, see
   :class:`~repro.service.cache.AssessmentCache`).
-* **Shared intermediates** — the expensive inputs of the recipe stages
-  (:class:`FrequencyGroups` per profile; belief + bipartite
-  :class:`MappingSpace` per ``(profile, delta)``) are memoized, so a
-  tolerance sweep over one release, or a batch of requests against the
-  same data, builds them once.
+* **Shared intermediates** — the engine hands the recipe a
+  :class:`~repro.recipe.assess.RecipeStages` subclass that memoizes the
+  :class:`FrequencyGroups` per profile, the belief + bipartite
+  :class:`MappingSpace` per ``(profile, delta)``, and the exact and
+  attack results derived from that space, so a tolerance sweep over one
+  release, or a batch of requests against the same data, builds them
+  once.  Each stage that computes is timed as ``stage:<name>``.
 * **Deterministic randomness** — the alpha stage's RNG is seeded from
   the request fingerprint (:func:`~repro.service.fingerprint.derived_seed`),
   so the same question yields byte-identical JSON whether it runs
   inline, through :meth:`assess_many` with one worker, or fanned out
   across a process pool.
-
-The per-stage arithmetic deliberately mirrors ``assess_risk`` line for
-line; ``tests/test_service.py`` pins the equivalence.
+* **Retries and deadlines** — transient failures are retried with
+  backoff, and a per-request :class:`~repro.budget.ComputeBudget`
+  degrades the recipe to an uncached INCONCLUSIVE answer.
 """
 
 from __future__ import annotations
@@ -34,20 +35,14 @@ from typing import Any, Generic, Iterable, Sequence, TypeVar
 import numpy as np
 
 from repro.beliefs.builders import uniform_width_belief
-from repro.budget import ComputeBudget, PartialEstimate
+from repro.budget import ComputeBudget
 from repro.core.alpha import alpha_max as compute_alpha_max
-from repro.core.oestimate import o_estimate
-from repro.data.database import FrequencyProfile, FrequencySource
+from repro.core.oestimate import OEstimateResult, o_estimate
+from repro.data.database import FrequencyProfile, FrequencySource, as_profile
 from repro.data.frequency import FrequencyGroups
-from repro.errors import BudgetExceeded, RecipeError, ReproError
+from repro.errors import ReproError
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
-from repro.recipe.assess import (
-    AttackSummary,
-    Decision,
-    RiskAssessment,
-    _attack_summary,
-    _try_exact_interval,
-)
+from repro.recipe.assess import AttackSummary, RecipeStages, RiskAssessment, assess_risk
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import AssessmentCache
 from repro.service.faults import fault_point
@@ -130,16 +125,6 @@ def _fingerprints(
     )
 
 
-def _as_profile(source: FrequencySource) -> FrequencyProfile:
-    if isinstance(source, FrequencyProfile):
-        return source
-    to_profile = getattr(source, "to_profile", None)
-    if to_profile is not None:
-        return to_profile()
-    counts = {item: source.item_count(item) for item in source.domain}
-    return FrequencyProfile(counts, source.n_transactions)
-
-
 class AssessmentEngine:
     """Cached, intermediate-sharing executor of the Assess-Risk recipe.
 
@@ -152,19 +137,13 @@ class AssessmentEngine:
         Shared :class:`ServiceMetrics`; defaults to a private instance.
     max_profiles, max_spaces:
         Bounds on the memoized intermediates (frequency groups per
-        profile; belief/space per ``(profile, delta)``).
+        profile; belief/space per ``(profile, delta)``; the exact and
+        attack results each keep ``4 * max_spaces``).
     breaker:
         Circuit breaker guarding the serial compute path; defaults to a
         fresh :class:`~repro.service.breaker.CircuitBreaker` sharing the
         engine's metrics.  Pool workers are separate processes and are
         deliberately outside the breaker.
-    reuse_exact_intermediates:
-        Memoize the exact-engine marginals and the attack summary per
-        ``(profile, delta, interest)``.  Both depend only on the space —
-        not on the tolerance — so a tolerance sweep re-derives the
-        decision per tolerance while solving the hard counting problems
-        once.  On by default; disable to force every request to re-solve
-        (benchmarking, memory-constrained deployments).
     """
 
     def __init__(
@@ -174,14 +153,12 @@ class AssessmentEngine:
         max_profiles: int = 16,
         max_spaces: int = 8,
         breaker: CircuitBreaker | None = None,
-        reuse_exact_intermediates: bool = True,
     ) -> None:
         self.cache = AssessmentCache() if cache is None else cache
         self.metrics = ServiceMetrics() if metrics is None else metrics
         self.breaker = (
             CircuitBreaker(metrics=self.metrics) if breaker is None else breaker
         )
-        self.reuse_exact_intermediates = reuse_exact_intermediates
         self._profiles: _LRU[str, tuple[dict[Any, float], FrequencyGroups]] = _LRU(
             max_profiles
         )
@@ -238,7 +215,7 @@ class AssessmentEngine:
         """
         start = time.perf_counter()
         self.metrics.increment("requests")
-        profile = _as_profile(source)
+        profile = as_profile(source)
         profile_hash, fingerprint = _fingerprints(profile, params)
 
         def compute() -> RiskAssessment:
@@ -332,7 +309,7 @@ class AssessmentEngine:
         for index, (source, params) in enumerate(requests):
             start = time.perf_counter()
             self.metrics.increment("requests")
-            profile = _as_profile(source)
+            profile = as_profile(source)
             _, fingerprint = _fingerprints(profile, params)
             cached = self.cache.get(fingerprint)
             if cached is not None:
@@ -381,7 +358,7 @@ class AssessmentEngine:
         self.metrics.increment("requests")
         attempts = [0]
         try:
-            profile = _as_profile(source)
+            profile = as_profile(source)
             profile_hash, fingerprint = _fingerprints(profile, params)
         except Exception as exc:
             self.metrics.increment("errors")
@@ -523,32 +500,7 @@ class AssessmentEngine:
             for tolerance in tolerances
         ]
 
-    # -- shared intermediates ---------------------------------------------
-
-    def _profile_state(
-        self, profile: FrequencyProfile, profile_hash: str
-    ) -> tuple[dict[Any, float], FrequencyGroups]:
-        state = self._profiles.get(profile_hash)
-        if state is None:
-            with self.metrics.timer("stage:groups"):
-                frequencies = profile.frequencies()
-                state = (frequencies, FrequencyGroups(frequencies))
-            self._profiles.put(profile_hash, state)
-        return state
-
-    def _space_state(
-        self, profile_hash: str, frequencies: dict[Any, float], delta: float
-    ) -> FrequencyMappingSpace:
-        key = (profile_hash, delta)
-        space = self._spaces.get(key)
-        if space is None:
-            with self.metrics.timer("stage:space"):
-                belief = uniform_width_belief(frequencies, delta)
-                space = space_from_frequencies(belief, frequencies)
-            self._spaces.put(key, space)
-        return space
-
-    # -- the recipe, stage by stage ---------------------------------------
+    # -- the recipe ---------------------------------------------------------
 
     def _compute(
         self,
@@ -560,144 +512,105 @@ class AssessmentEngine:
     ) -> RiskAssessment:
         fault_point("engine.compute")
         if budget is not None:
-            budget.poll()
-        frequencies, groups = self._profile_state(profile, profile_hash)
-        n = len(frequencies)
-        g = len(groups)
-        interest = params.interest
-        basis = n if interest is None else len(interest)
-        tolerance = params.tolerance
-
-        # Steps 1-2: point-valued worst case (Lemma 3 / Lemma 4).
-        if interest is None:
-            point_valued = float(g)
-        else:
-            from repro.core.exact import expected_cracks_point_valued_subset
-
-            point_valued = expected_cracks_point_valued_subset(groups, interest)
-        if point_valued <= tolerance * basis:
-            return RiskAssessment(
-                decision=Decision.DISCLOSE_POINT_VALUED,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                interest=interest,
-            )
-
-        # Steps 3-5: compliant interval belief with the median-gap width.
-        delta = params.delta
-        if delta is None:
-            if g < 2:
-                raise RecipeError(
-                    "a single frequency group has no gaps; pass delta explicitly"
-                )
-            delta = groups.median_gap()
-        space = self._space_state(profile_hash, frequencies, delta)
-
-        # Steps 6-7: the fully compliant O-estimate decides; the exact
-        # engine additionally serves ground truth when its plan is cheap.
-        if budget is not None:
-            budget.poll()
-        with self.metrics.timer("stage:oestimate"):
-            estimate = o_estimate(space, interest=interest)
-        exact_key = (profile_hash, delta, interest)
-        exact_state = (
-            self._exact.get(exact_key) if self.reuse_exact_intermediates else None
+            budget.poll()  # an expired request is refused before any work
+        return assess_risk(
+            profile, params.tolerance, params.delta, params.runs,
+            rng=np.random.default_rng(derived_seed(fingerprint)),
+            interest=params.interest, budget=budget,
+            stages=_EngineStages(self, profile_hash),
         )
-        if exact_state is not None:
-            exact_cracks, exact_strategy_name = exact_state
-            self.metrics.increment("exact_memo_hits")
+
+
+class _EngineStages(RecipeStages):
+    """One request's stages: memoized in its engine, timed when computed.
+
+    Groups are keyed by the profile hash, the space and the attack
+    summary by ``(hash, delta)``, exact results by ``(hash, delta,
+    interest)``.  ``stage:groups``/``space``/``exact``/``attack`` time a
+    memo miss; ``stage:oestimate`` and ``stage:alpha`` time every call.
+    The stages call this module's names (``FrequencyGroups``,
+    ``o_estimate``, ...), so a tracer that wraps them sees every stage.
+    """
+
+    def __init__(self, engine: AssessmentEngine, profile_hash: str) -> None:
+        self._engine = engine
+        self._metrics = engine.metrics
+        self._hash = profile_hash
+        self._delta = 0.0  # set by space(), which the recipe calls first
+
+    def groups(self, source: FrequencySource) -> tuple[dict[Any, float], FrequencyGroups]:
+        state = self._engine._profiles.get(self._hash)
+        if state is None:
+            with self._metrics.timer("stage:groups"):
+                frequencies = source.frequencies()
+                state = (frequencies, FrequencyGroups(frequencies))
+            self._engine._profiles.put(self._hash, state)
+        return state
+
+    def space(self, frequencies: dict[Any, float], delta: float) -> FrequencyMappingSpace:
+        self._delta = delta
+        key = (self._hash, delta)
+        space = self._engine._spaces.get(key)
+        if space is None:
+            with self._metrics.timer("stage:space"):
+                belief = uniform_width_belief(frequencies, delta)
+                space = space_from_frequencies(belief, frequencies)
+            self._engine._spaces.put(key, space)
+        return space
+
+    def o_estimate(
+        self, space: FrequencyMappingSpace, interest: frozenset[Any] | None
+    ) -> OEstimateResult:
+        with self._metrics.timer("stage:oestimate"):
+            return o_estimate(space, interest=interest)
+
+    def exact(
+        self,
+        space: FrequencyMappingSpace,
+        interest: frozenset[Any] | None,
+        budget: ComputeBudget | None,
+    ) -> tuple[float | None, str | None]:
+        key = (self._hash, self._delta, interest)
+        state = self._engine._exact.get(key)
+        if state is not None:
+            self._metrics.increment("exact_memo_hits")
         else:
-            with self.metrics.timer("stage:exact"):
-                exact_cracks, exact_strategy_name = _try_exact_interval(
-                    space, interest, budget
-                )
+            with self._metrics.timer("stage:exact"):
+                state = super().exact(space, interest, budget)
             # A (None, None) under a deadline may be budget-caused, not a
             # property of the instance — only memoize what a budget-free
             # run would also have produced.
-            if self.reuse_exact_intermediates and (
-                budget is None or exact_strategy_name is not None
-            ):
-                self._exact.put(exact_key, (exact_cracks, exact_strategy_name))
-        if exact_strategy_name is not None:
-            self.metrics.increment("exact_served")
-            self.metrics.increment(f"exact:{exact_strategy_name}")
+            if budget is None or state[1] is not None:
+                self._engine._exact.put(key, state)
+        strategy = state[1]
+        if strategy is not None:
+            self._metrics.increment("exact_served")
+            self._metrics.increment(f"exact:{strategy}")
         else:
-            self.metrics.increment("exact_skipped")
-        attack_key = (profile_hash, delta)
-        attack = (
-            self._attacks.get(attack_key) if self.reuse_exact_intermediates else None
-        )
-        if attack is None:
-            with self.metrics.timer("stage:attack"):
-                attack = _attack_summary(space, budget)
-            if self.reuse_exact_intermediates and (
-                budget is None or attack is not None
-            ):
-                self._attacks.put(attack_key, attack)
-        else:
-            self.metrics.increment("attack_memo_hits")
-        if estimate.value <= tolerance * basis:
-            return RiskAssessment(
-                decision=Decision.DISCLOSE_INTERVAL,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                delta=delta,
-                interval_estimate=estimate,
-                interest=interest,
-                exact_cracks=exact_cracks,
-                exact_strategy=exact_strategy_name,
-                attack=attack,
-            )
+            self._metrics.increment("exact_skipped")
+        return state
 
-        # Steps 8-9: largest tolerable degree of compliancy, with the
-        # RNG pinned to the request fingerprint for reproducibility.
-        # The interval rung's O-estimate is bounded, so budget exhaustion
-        # from here on degrades to an INCONCLUSIVE partial assessment
-        # instead of failing the request.
-        try:
-            if budget is not None:
-                budget.poll()
-            rng = np.random.default_rng(derived_seed(fingerprint))
-            with self.metrics.timer("stage:alpha"):
-                alpha = compute_alpha_max(
-                    space, tolerance, runs=params.runs, rng=rng, interest=interest
-                )
-        except BudgetExceeded as exc:
-            partial = exc.partial if isinstance(exc.partial, PartialEstimate) else (
-                PartialEstimate(
-                    value=float(estimate.value),
-                    std_error=0.0,
-                    sweeps_completed=0,
-                    rung="o-estimate",
-                    reason=exc.reason,
-                )
-            )
-            return RiskAssessment(
-                decision=Decision.INCONCLUSIVE,
-                tolerance=tolerance,
-                n_items=n,
-                g=g,
-                delta=delta,
-                interval_estimate=estimate,
-                interest=interest,
-                exact_cracks=exact_cracks,
-                exact_strategy=exact_strategy_name,
-                partial_estimate=partial,
-                attack=attack,
-            )
-        return RiskAssessment(
-            decision=Decision.ALPHA_BOUND,
-            tolerance=tolerance,
-            n_items=n,
-            g=g,
-            delta=delta,
-            interval_estimate=estimate,
-            alpha_max=alpha,
-            interest=interest,
-            runs=params.runs,
-            exact_cracks=exact_cracks,
-            exact_strategy=exact_strategy_name,
-            attack=attack,
-        )
+    def attack(
+        self, space: FrequencyMappingSpace, budget: ComputeBudget | None
+    ) -> AttackSummary | None:
+        key = (self._hash, self._delta)
+        attack = self._engine._attacks.get(key)
+        if attack is None:
+            with self._metrics.timer("stage:attack"):
+                attack = super().attack(space, budget)
+            if budget is None or attack is not None:
+                self._engine._attacks.put(key, attack)
+        else:
+            self._metrics.increment("attack_memo_hits")
+        return attack
+
+    def alpha(
+        self,
+        space: FrequencyMappingSpace,
+        tolerance: float,
+        runs: int,
+        rng: np.random.Generator | None,
+        interest: frozenset[Any] | None,
+    ) -> float:
+        with self._metrics.timer("stage:alpha"):
+            return compute_alpha_max(space, tolerance, runs=runs, rng=rng, interest=interest)

@@ -33,7 +33,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.data.database import FrequencyProfile, FrequencySource
+from repro.data.database import FrequencySource, as_profile
 from repro.errors import RecipeError
 from repro.io import SCHEMA_VERSION, _encode_item
 
@@ -137,16 +137,9 @@ def profile_fingerprint(source: FrequencySource) -> str:
     encoding name) followed by the items and counts: the profile's own
     little-endian int64 arrays, sorted by item, when every item is an
     int that fits, else the tagged records of :func:`_tagged_body`.
-    Other sources are tabulated into a profile first.
+    Other sources are converted with :func:`~repro.data.database.as_profile`.
     """
-    profile = (
-        source
-        if isinstance(source, FrequencyProfile)
-        else FrequencyProfile(
-            {item: source.item_count(item) for item in source.domain},
-            source.n_transactions,
-        )
-    )
+    profile = as_profile(source)
     arrays = profile.int64_arrays()
     digest = hashlib.sha256(
         f"schema={SCHEMA_VERSION};fp={_DEFINITION};kind=profile;"

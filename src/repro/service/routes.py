@@ -31,7 +31,7 @@ from typing import Any, Iterator
 
 import repro
 from repro.errors import BudgetExceeded, ReproError
-from repro.io import assessment_to_json, profile_from_json
+from repro.io import assessment_to_json, json_int, profile_from_json
 from repro.service.admission import (
     AdmissionController,
     AdmissionTimeout,
@@ -251,10 +251,10 @@ class ServiceCore:
             tolerance = float(payload["tolerance"])
             if not tolerance >= 0:
                 raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-            runs = int(payload.get("runs", 5))
+            runs = json_int(payload.get("runs", 5), "runs")
             if runs < 1:
                 raise ValueError(f"runs must be >= 1, got {runs}")
-            seed = int(payload.get("seed", 0))
+            seed = json_int(payload.get("seed", 0), "seed")
             if not 0 <= seed <= _MAX_SEED:
                 raise ValueError(f"seed must be in [0, 2**64), got {seed}")
             params = AssessmentParams(

@@ -74,6 +74,19 @@ class TestProfileRoundtrip:
         with pytest.raises(FormatError, match="count must be a JSON integer"):
             profile_from_json(payload)
 
+    @pytest.mark.parametrize("total", [3.7, 10.0, True, "10"], ids=repr)
+    def test_non_integral_n_transactions_rejected(self, total):
+        for items in ({1: 3, 2: 7}, {"a": 3, "b": 7}):  # bulk and per-entry decode
+            payload = profile_to_json(FrequencyProfile(items, 10))
+            payload["n_transactions"] = total
+            with pytest.raises(FormatError, match="n_transactions must be a JSON integer"):
+                profile_from_json(payload)
+
+    @pytest.mark.parametrize("payload", [5, None, "profile", [1, 2]], ids=repr)
+    def test_non_object_payload_rejected(self, payload):
+        with pytest.raises(FormatError, match="not a serialized frequency profile"):
+            profile_from_json(payload)
+
     def test_integer_counts_round_trip(self):
         profile = FrequencyProfile({-4: 0, 2: 10, 2**70: 5, "s": 1}, 10)
         restored = profile_from_json(profile_to_json(profile))

@@ -304,17 +304,15 @@ class TestSweepReuse:
         profile = _sweep_profile()
         tolerances = [round(0.02 + 0.01 * t, 6) for t in range(8)]
 
-        clear_dp_memo()
-        plain = AssessmentEngine(reuse_exact_intermediates=False)
         baseline = []
         for tolerance in tolerances:
             clear_dp_memo()  # emulate the pre-memo engine exactly
             baseline.append(
-                plain.assess(profile, tolerance, runs=3, seed=0).assessment
+                AssessmentEngine().assess(profile, tolerance, runs=3, seed=0).assessment
             )
 
         clear_dp_memo()
-        memo = AssessmentEngine(reuse_exact_intermediates=True)
+        memo = AssessmentEngine()
         swept = memo.sweep_tolerance(profile, tolerances, runs=3, seed=0)
 
         assert [assessment_to_json(a) for a in baseline] == [

@@ -1,0 +1,198 @@
+"""The one Assess-Risk recipe and its stages provider.
+
+``assess_risk`` is the only implementation of Figure 8; the service
+engine runs it with a memoizing, timing :class:`RecipeStages` subclass.
+The digests below were recorded before the engine's own copy of the
+recipe was folded into ``assess_risk``: both routes must keep serving
+byte-identical JSON for every decision.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.budget import ComputeBudget
+from repro.data import FrequencyProfile, TransactionDatabase
+from repro.io import assessment_to_json
+from repro.recipe.assess import RecipeStages, assess_risk
+from repro.service import AssessmentEngine
+
+
+def _release() -> FrequencyProfile:
+    """60 items in 12 frequency groups: g/n = 0.2, O-estimate ~0.089."""
+    return FrequencyProfile({i: 10 + (i % 12) * 20 for i in range(60)}, 1000)
+
+
+def _database() -> TransactionDatabase:
+    """A small transaction database whose recipe reaches the alpha stage."""
+    return TransactionDatabase(
+        [[j for j in range(14) if (i * (j + 3) + j) % (j + 4) < 2] or [0] for i in range(80)]
+    )
+
+
+def _expiring_budget(at_poll: int) -> ComputeBudget:
+    """A budget whose deadline passes at its *at_poll*-th poll."""
+    now = [0.0]
+    polls = [0]
+
+    def hook(site: str) -> None:
+        polls[0] += 1
+        if polls[0] == at_poll:
+            now[0] += 100.0
+
+    return ComputeBudget(seconds=50.0, clock=lambda: now[0], fault_hook=hook)
+
+
+#: name -> (source factory, tolerance, keyword arguments).  The engine
+#: polls once more than a direct call before the O-estimate (at entry),
+#: so its budget expires one poll later to land past the same rung.
+CASES = {
+    "point-valued": (_release, 0.25, {}),
+    "interval": (_release, 0.1, {}),
+    "alpha": (_release, 0.05, {"runs": 3}),
+    "interest": (_release, 0.05, {"runs": 3, "interest": range(10)}),
+    "inconclusive": (_release, 0.05, {"runs": 3, "budget": 2}),
+    "database": (_database, 0.05, {"runs": 3}),
+}
+
+#: SHA-256 of the sorted-key JSON of each assessment, per route.
+DIGESTS = {
+    "recipe": {
+        "point-valued": (
+            "fc37882999ae676280672f8d74bb202d"
+            "d588a4dbb9dcd9f751ef8a4f06509afc"
+        ),
+        "interval": (
+            "4779ac4cb69cafb8c0321a0679fbbdd2"
+            "901b009b5d038562e9241a2b4469fe07"
+        ),
+        "alpha": (
+            "76b7fac972f56f10f0201f12aabce0f2"
+            "c527f8ccca0be7171f3126000130c75a"
+        ),
+        "interest": (
+            "bed38e683511b3e6cae370a238061ac3"
+            "5475f917726fad793e8c093b86f1efc6"
+        ),
+        "inconclusive": (
+            "482bbabcc30b77e3e7e473ea189080aa"
+            "0d8f5d07b011c9b1a8e041213abd5ead"
+        ),
+        "database": (
+            "82c9b04c4bbe7432a288f709864087a7"
+            "c3eaae912fdc44b41bd55ace0743492d"
+        ),
+    },
+    "engine": {
+        "point-valued": (
+            "fc37882999ae676280672f8d74bb202d"
+            "d588a4dbb9dcd9f751ef8a4f06509afc"
+        ),
+        "interval": (
+            "4779ac4cb69cafb8c0321a0679fbbdd2"
+            "901b009b5d038562e9241a2b4469fe07"
+        ),
+        "alpha": (
+            "ca3745699684b722ca12e1d8c3c5c2a9"
+            "9b985d010c54a4aa24545514fa162539"
+        ),
+        "interest": (
+            "9ff92d07c1db894169a1d440d722501c"
+            "04a5c45dafe175c48bcfcf0c6f14d1f2"
+        ),
+        "inconclusive": (
+            "482bbabcc30b77e3e7e473ea189080aa"
+            "0d8f5d07b011c9b1a8e041213abd5ead"
+        ),
+        "database": (
+            "662fb4121f704220bb2a8c2b08a2ad6e"
+            "887a112b286c8535b0d67ea50b480e43"
+        ),
+    },
+}
+
+
+def _digest(assessment) -> str:
+    text = json.dumps(assessment_to_json(assessment), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(route: str, name: str):
+    factory, tolerance, kwargs = CASES[name]
+    kwargs = dict(kwargs)
+    if "budget" in kwargs:
+        at_poll = kwargs["budget"] + (route == "engine")
+        kwargs["budget"] = _expiring_budget(at_poll)
+    if route == "recipe":
+        return assess_risk(factory(), tolerance, rng=np.random.default_rng(0), **kwargs)
+    return AssessmentEngine().assess(factory(), tolerance, seed=0, **kwargs).assessment
+
+
+def digests() -> dict[str, dict[str, str]]:
+    """Every case's digest through both routes (regenerates ``DIGESTS``)."""
+    return {
+        route: {name: _digest(_run(route, name)) for name in CASES}
+        for route in ("recipe", "engine")
+    }
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("route", ["recipe", "engine"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest_unchanged(self, route, name):
+        assert _digest(_run(route, name)) == DIGESTS[route][name]
+
+    def test_cases_cover_every_decision(self):
+        decisions = {_run("engine", name).decision.name for name in CASES}
+        assert decisions == {
+            "DISCLOSE_POINT_VALUED",
+            "DISCLOSE_INTERVAL",
+            "ALPHA_BOUND",
+            "INCONCLUSIVE",
+        }
+
+
+class TestRecipeStages:
+    def test_provider_serves_every_stage_in_order(self):
+        calls = []
+
+        class Recording(RecipeStages):
+            pass
+
+        for name in ("groups", "space", "o_estimate", "exact", "attack", "alpha"):
+
+            def stage(self, *args, _name=name):
+                calls.append(_name)
+                return getattr(RecipeStages, _name)(self, *args)
+
+            setattr(Recording, name, stage)
+
+        recorded = assess_risk(
+            _release(), 0.05, runs=3, rng=np.random.default_rng(0), stages=Recording()
+        )
+        plain = assess_risk(_release(), 0.05, runs=3, rng=np.random.default_rng(0))
+        assert recorded == plain
+        assert calls == ["groups", "space", "o_estimate", "exact", "attack", "alpha"]
+
+
+class TestEngineStageCounters:
+    def test_sweep_builds_each_stage_once(self):
+        # Every tolerance is below g/n = 0.2, so each passes the
+        # point-valued rung and asks for the space, exact and attack.
+        engine = AssessmentEngine()
+        engine.sweep_tolerance(_release(), [0.02, 0.05, 0.1, 0.15], runs=3)
+        snapshot = engine.metrics.snapshot()
+        timers, counters = snapshot["timers"], snapshot["counters"]
+        for stage in ("groups", "space", "exact", "attack"):
+            assert timers[f"stage:{stage}"]["count"] == 1, stage
+        assert timers["stage:oestimate"]["count"] == 4
+        assert counters["exact_memo_hits"] == counters["attack_memo_hits"] == 3
+        assert counters["computed"] == 4
+
+
+if __name__ == "__main__":
+    print(json.dumps(digests(), indent=4))

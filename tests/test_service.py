@@ -548,6 +548,58 @@ class TestCrackEndpoint:
             assert error.code == 422
 
 
+class TestAssessValidation:
+    """``POST /assess`` answers a malformed request 400, never raises."""
+
+    @staticmethod
+    def _dispatch(payload):
+        from repro.service import ServiceCore
+
+        core = ServiceCore(AssessmentEngine())
+        return core.dispatch("POST", "/assess", json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("raw", [5, None, "x", [1, 2]], ids=repr)
+    def test_non_object_profile_is_400(self, raw):
+        response = self._dispatch({"profile": raw, "tolerance": 0.1})
+        assert response.status == 400
+        assert response.payload["error"]["type"] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seed": 1.5},
+            {"seed": 1.0},
+            {"seed": True},
+            {"seed": "1"},
+            {"runs": 2.9},
+            {"runs": 2.0},
+            {"runs": False},
+            {"runs": "2"},
+        ],
+        ids=repr,
+    )
+    def test_non_integer_runs_or_seed_is_400(self, profile, field):
+        payload = {"profile": profile_to_json(profile), "tolerance": 0.1, **field}
+        response = self._dispatch(payload)
+        assert response.status == 400
+        assert "must be a JSON integer" in response.payload["error"]["message"]
+
+    def test_non_integer_n_transactions_is_400(self, profile):
+        wire = profile_to_json(profile)
+        wire["n_transactions"] = 1000.5
+        response = self._dispatch({"profile": wire, "tolerance": 0.1})
+        assert response.status == 400
+
+    def test_integer_runs_and_seed_accepted(self, profile):
+        payload = {
+            "profile": profile_to_json(profile),
+            "tolerance": 0.1,
+            "runs": 2,
+            "seed": 3,
+        }
+        assert self._dispatch(payload).status == 200
+
+
 class TestAttackSummaryParity:
     def test_engine_attack_matches_recipe(self, profile):
         from repro.recipe import assess_risk
