@@ -20,8 +20,8 @@ Examples::
     repro-assess --benchmark mushroom --save-assessment decision.json
     repro-batch manifest.json --workers 4 --output results.jsonl
     repro-serve --port 8080 --cache-dir /var/cache/repro
-    repro-serve --async --cache-dir /var/cache/repro --shared-cache
-    repro-loadgen --flavors threaded,async --connections 8,64
+    repro-serve --cache-dir /var/cache/repro --shared-cache
+    repro-loadgen --connections 8,64
     repro-loadgen --smoke
     repro-chaos --seed 7 --duration 12
     repro-chaos --smoke
@@ -546,9 +546,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="in-memory result-cache capacity (default 256)",
     )
     parser.add_argument(
-        "--verbose", action="store_true", help="log one line per HTTP request"
-    )
-    parser.add_argument(
         "--grace",
         type=float,
         default=5.0,
@@ -577,14 +574,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "docs/service.md) — for robustness testing only",
     )
     parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve from a single asyncio event loop (keep-alive + "
-        "pipelining, engine work on a bounded thread executor) instead "
-        "of one thread per connection",
-    )
-    parser.add_argument(
         "--shared-cache",
         action="store_true",
         help="treat --cache-dir as a tier shared by several replica "
@@ -611,15 +600,14 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
     """
     from contextlib import nullcontext
 
-    from repro.service import AssessmentCache, AssessmentEngine, make_server
+    from repro.service import AssessmentCache, AssessmentEngine
+    from repro.service.aio import serve_async
     from repro.service.faults import injected_faults, load_schedule
-    from repro.service.server import run_until_signal
+    from repro.service.lease import DEFAULT_STALE_AFTER
 
     args = build_serve_parser().parse_args(argv)
     try:
         schedule = None if args.faults is None else load_schedule(args.faults)
-        from repro.service.lease import DEFAULT_STALE_AFTER
-
         engine = AssessmentEngine(
             cache=AssessmentCache(
                 capacity=args.capacity,
@@ -632,49 +620,23 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
                 ),
             )
         )
-        if args.use_async:
-            from repro.service.aio import serve_async
-
-            banner = (
-                f"repro-serve {package_version()} listening on "
-                f"http://{args.host}:{{port}}"
-            )
-            with injected_faults(schedule) if schedule is not None else nullcontext():
-                serve_async(
-                    host=args.host,
-                    port=args.port,
-                    engine=engine,
-                    quiet=not args.verbose,
-                    grace_seconds=args.grace,
-                    max_inflight=args.max_inflight,
-                    max_queue=args.max_queue,
-                    banner=banner,
-                )
-            if schedule is not None:
-                print(
-                    f"fault injection: {len(schedule.events)} event(s) fired",
-                    file=sys.stderr,
-                )
-            print("shutting down")
-            return 0
-        server = make_server(
-            host=args.host,
-            port=args.port,
-            engine=engine,
-            quiet=not args.verbose,
-            max_inflight=args.max_inflight,
-            max_queue=args.max_queue,
+        banner = (
+            f"repro-serve {package_version()} listening on "
+            f"http://{args.host}:{{port}}"
         )
+        with injected_faults(schedule) if schedule is not None else nullcontext():
+            serve_async(
+                host=args.host,
+                port=args.port,
+                engine=engine,
+                grace_seconds=args.grace,
+                max_inflight=args.max_inflight,
+                max_queue=args.max_queue,
+                banner=banner,
+            )
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    host, port = server.server_address[:2]
-    print(
-        f"repro-serve {package_version()} listening on http://{host}:{port}",
-        flush=True,
-    )
-    with injected_faults(schedule) if schedule is not None else nullcontext():
-        run_until_signal(server, grace_seconds=args.grace)
     if schedule is not None:
         print(
             f"fault injection: {len(schedule.events)} event(s) fired",
@@ -692,16 +654,11 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-loadgen",
         description="Replayable load harness for the serving stack: drives "
-        "real repro-serve subprocesses (threaded or --async, 1..N replicas) "
+        "real repro-serve subprocesses (1..N replicas) "
         "with seeded Zipf-skewed traffic and appends the measured cells to "
         "the BENCH_service.json trajectory.",
     )
     _add_version_flag(parser)
-    parser.add_argument(
-        "--flavors",
-        default="threaded,async",
-        help="comma-separated server flavors to measure (default both)",
-    )
     parser.add_argument(
         "--connections",
         default="8,64",
@@ -764,7 +721,7 @@ def build_loadgen_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny run of both flavors + a shared-cache race; asserts the "
+        help="tiny real-socket run + a shared-cache race; asserts the "
         "committed BENCH_service.json has a trajectory, writes nothing",
     )
     return parser
@@ -790,10 +747,8 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
     )
 
     args = build_loadgen_parser().parse_args(argv)
-    flavors = [f.strip() for f in args.flavors.split(",") if f.strip()]
     connections = [int(c) for c in args.connections.split(",") if c.strip()]
     if args.smoke:
-        flavors = ["threaded", "async"]
         connections = [2]
         spec = WorkloadSpec(profiles=6, zipf_s=args.zipf, seed=args.seed)
         duration = 1.0
@@ -805,33 +760,30 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
 
     cells = []
     try:
-        for flavor in flavors:
-            with ReplicaPool(
-                count=args.replicas, flavor=flavor, faults=args.faults
-            ) as pool:
-                for concurrency in connections:
-                    cell = run_cell(
-                        pool,
-                        spec,
-                        connections=concurrency,
-                        duration_seconds=duration,
-                        max_requests_per_connection=args.requests,
-                    )
-                    cells.append(cell)
-                    print(
-                        f"{cell.flavor} x{cell.replicas} c={cell.connections}: "
-                        f"{cell.rps:.0f} rps, p50 {cell.p50_ms:.2f} ms, "
-                        f"p99 {cell.p99_ms:.2f} ms, shed {cell.shed_rate:.1%}, "
-                        f"hit {cell.cache_hit_ratio:.1%}",
-                        flush=True,
-                    )
-                fleet = pool.supervisor.status()
+        with ReplicaPool(count=args.replicas, faults=args.faults) as pool:
+            for concurrency in connections:
+                cell = run_cell(
+                    pool,
+                    spec,
+                    connections=concurrency,
+                    duration_seconds=duration,
+                    max_requests_per_connection=args.requests,
+                )
+                cells.append(cell)
                 print(
-                    f"supervisor: {len(fleet['replicas'])} replica(s), "
-                    f"restarts={fleet['restarts']}, "
-                    f"crash_loops={fleet['crash_loops']}",
+                    f"x{cell.replicas} c={cell.connections}: "
+                    f"{cell.rps:.0f} rps, p50 {cell.p50_ms:.2f} ms, "
+                    f"p99 {cell.p99_ms:.2f} ms, shed {cell.shed_rate:.1%}, "
+                    f"hit {cell.cache_hit_ratio:.1%}",
                     flush=True,
                 )
+            fleet = pool.supervisor.status()
+            print(
+                f"supervisor: {len(fleet['replicas'])} replica(s), "
+                f"restarts={fleet['restarts']}, "
+                f"crash_loops={fleet['crash_loops']}",
+                flush=True,
+            )
 
         shared_trial = None
         if not args.no_shared_trial:
@@ -843,7 +795,6 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
                     ),
                     replicas=2,
                     connections=4 if args.smoke else 8,
-                    flavor="threaded",
                     duration_seconds=2.0 if args.smoke else duration,
                 )
             print(
@@ -871,7 +822,7 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
             code >= 400 for code in cell.statuses if code != 429
         ):
             print(
-                f"error: cell {cell.flavor}/c={cell.connections} saw "
+                f"error: cell c={cell.connections} saw "
                 f"client_errors={cell.client_errors} statuses={cell.statuses}",
                 file=sys.stderr,
             )
@@ -898,7 +849,7 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
             )
             return 1
         print(
-            f"smoke OK: both flavors served; committed {output.name} has "
+            f"smoke OK: served over real sockets; committed {output.name} has "
             f"{len(report['trajectory'])} trajectory record(s) and "
             f"{len(report['chaos'])} chaos record(s)"
         )
@@ -942,12 +893,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         type=int,
         default=6,
         help="persistent client connections driving load (default 6)",
-    )
-    parser.add_argument(
-        "--flavor",
-        choices=("threaded", "async"),
-        default="threaded",
-        help="server flavor under test (default threaded)",
     )
     parser.add_argument(
         "--profiles",
@@ -1064,7 +1009,7 @@ def chaos_main(argv: Sequence[str] | None = None) -> int:
         # a red run always replays with ``repro-chaos --seed 7 --run-dir d``.
         args.seed, args.duration = 7, 10.0
         args.replicas, args.connections = 2, 6
-        args.flavor, args.profiles = "threaded", 18
+        args.profiles = 18
         args.lease_stale, args.min_kills = 1.0, 3
 
     with ExitStack() as stack:
@@ -1083,7 +1028,6 @@ def chaos_main(argv: Sequence[str] | None = None) -> int:
                 duration_seconds=args.duration,
                 replicas=args.replicas,
                 connections=args.connections,
-                flavor=args.flavor,
                 profiles=args.profiles,
                 lease_stale_seconds=args.lease_stale,
                 min_kills=args.min_kills,

@@ -1,8 +1,7 @@
 """Bounded admission control for the HTTP front end.
 
-A :class:`ThreadingHTTPServer` accepts every connection and gives each
-its own thread, so under overload the process accumulates unbounded
-concurrent computations until nothing finishes.  The
+A server that starts every request it accepts accumulates unbounded
+concurrent computations under overload, until nothing finishes.  The
 :class:`AdmissionController` bounds the damage:
 
 * at most ``max_inflight`` assessments compute concurrently;

@@ -1,35 +1,71 @@
-"""Asyncio HTTP front end: same routes, one event loop, many sockets.
+"""The HTTP front end: four JSON routes served from one asyncio event loop.
 
-The threaded server (:mod:`repro.service.server`) spends one OS thread
-per connection; at hundreds of mostly-idle keep-alive connections the
-scheduler overhead dominates on a small host.  This front end serves
-the exact same routes — ``POST /assess``, ``POST /crack/step``,
-``GET /healthz``, ``GET /metrics`` — from a single event loop
-(:func:`asyncio.start_server`), parsing HTTP/1.1 with keep-alive and
-pipelining, and dispatching the actual engine work to a bounded thread
-executor.  Route semantics, admission control, the error mapping and
-the metrics all come from the shared
-:class:`~repro.service.routes.ServiceCore`, so the two flavors are
-behaviourally identical; ``repro-serve --async`` selects this one.
+Endpoints
+---------
+
+``POST /assess``
+    Body: ``{"profile": <profile_to_json payload>, "tolerance": 0.05,
+    "delta": null, "runs": 5, "seed": 0, "interest": [3, 7, "milk"],
+    "deadline_seconds": 2.5}``
+    (everything but ``profile`` and ``tolerance`` optional; *interest*
+    items are raw JSON ints/strings matching the profile's items).
+    Response: ``{"fingerprint", "cached", "elapsed_seconds", "partial",
+    "assessment": <assessment_to_json payload>}``.  With
+    ``deadline_seconds`` set, the engine computes under a
+    :class:`~repro.budget.ComputeBudget`: an over-budget request still
+    answers 200 with ``"partial": true`` and an ``INCONCLUSIVE``
+    decision carrying the best estimate so far, or 503 with a
+    ``Retry-After`` header when the deadline expired before *anything*
+    was ready.
+
+``POST /crack/step``
+    The streaming attacker workbench (see :mod:`repro.service.crack`):
+    open a solver session with an ``instance`` payload, then stream
+    ``observations`` into it by ``session`` id.
+
+``GET /healthz``
+    Liveness probe; reports the package version.
+
+``GET /metrics``
+    Engine metrics snapshot plus cache counters, admission queue depth
+    and per-route latency histograms.
+
+Route semantics — validation, the error mapping (400/404/422/429/500/
+503 with ``Retry-After``), admission control, per-route counters and
+latency histograms — live in the transport-agnostic
+:class:`~repro.service.routes.ServiceCore`.  This module contributes
+the socket plumbing: :func:`asyncio.start_server`, HTTP/1.1 parsing
+with keep-alive and pipelining, and a thread executor for the ``POST``
+routes.
 
 Protocol notes
 --------------
 
 * Requests are parsed back-to-back off each connection's buffer, so a
-  client that pipelines N requests gets N responses in order without
-  waiting — the event loop interleaves the executor dispatches.
+  client that pipelines N requests gets N responses in order.
 * Every response carries an exact ``Content-Length`` (the core
   guarantees a JSON body on every path), which is what makes keep-alive
   legal.  ``Connection: close`` is honoured, as is HTTP/1.0's
   close-by-default.
 * A malformed request head, an oversized body, or a body shorter than
-  its declared ``Content-Length`` answers 400 where possible and always
-  closes the connection — after a framing error the stream cannot be
-  trusted.
+  its declared ``Content-Length`` answers 400 and closes the
+  connection: after a framing error the stream cannot be trusted.
 
-Graceful shutdown mirrors the threaded server: stop accepting, wait for
-in-flight requests to drain (bounded by the grace period), then close
-the remaining keep-alive connections and the executor.
+Concurrency
+-----------
+
+``GET`` routes are cheap and answered on the event loop itself, so a
+liveness probe never waits behind engine work.  ``POST`` routes run
+:meth:`ServiceCore.dispatch` on an executor sized from the admission
+limits — ``max_inflight`` computing, ``max_queue`` waiting, plus one
+thread to shed the next request with 429 — so every request past the
+queue reaches admission control (and its deadline starts counting)
+instead of idling in the executor's own unbounded queue.
+
+:meth:`AsyncAssessmentServer.shutdown_gracefully` stops accepting,
+waits for in-flight requests to drain (bounded by the grace period),
+then closes the remaining keep-alive connections; ``repro-serve`` wires
+it to ``SIGTERM``/``SIGINT``.
 """
 
 from __future__ import annotations
@@ -112,32 +148,23 @@ def _bad_request(message: str) -> RouteResponse:
 class AsyncAssessmentServer:
     """An :func:`asyncio.start_server` front end over one :class:`ServiceCore`.
 
-    Parameters
-    ----------
-    core:
-        The shared route layer; a fresh one (fresh engine, default
-        admission limits) when omitted.
-    executor_workers:
-        Threads in the dispatch executor — the real concurrency bound
-        for engine work (admission control further bounds ``/assess``).
+    *core* is the shared route layer; a fresh one (fresh engine, default
+    admission limits) when omitted.  The executor for ``POST`` routes is
+    sized from its admission limits (see the module docstring).
     """
 
-    def __init__(
-        self,
-        core: ServiceCore | None = None,
-        executor_workers: int = 8,
-        quiet: bool = True,
-    ) -> None:
+    def __init__(self, core: ServiceCore | None = None) -> None:
         self.core = core if core is not None else ServiceCore()
-        self.quiet = quiet
+        admission = self.core.admission
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_workers, thread_name_prefix="repro-aio"
+            max_workers=admission.max_inflight + admission.max_queue + 1,
+            thread_name_prefix="repro-aio",
         )
         self._server: asyncio.base_events.Server | None = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._tasks: set[asyncio.Task[None]] = set()
 
-    # -- convenience pass-throughs (parity with AssessmentServer) ---------
+    # -- convenience pass-throughs ---------------------------------------
 
     @property
     def engine(self) -> AssessmentEngine:
@@ -267,15 +294,25 @@ class AsyncAssessmentServer:
             if length > 0:
                 try:
                     body = await reader.readexactly(length)
-                except asyncio.IncompleteReadError:
-                    # Truncated body: the framing is gone; hang up (the
-                    # client already stopped talking, a reply is moot).
-                    self.core.engine.metrics.increment("client_disconnects")
+                except asyncio.IncompleteReadError as exc:
+                    # The client half-closed mid-body: answer, then hang
+                    # up, since the framing is gone.
+                    await self._send(
+                        writer,
+                        _bad_request(
+                            f"truncated request body: Content-Length said "
+                            f"{length} bytes but only {len(exc.partial)} arrived"
+                        ),
+                        keep_alive=False,
+                    )
                     return
             with self.core.tracked_request():
-                response = await loop.run_in_executor(
-                    self._executor, self.core.dispatch, method, path, body
-                )
+                if method == "POST":
+                    response = await loop.run_in_executor(
+                        self._executor, self.core.dispatch, method, path, body
+                    )
+                else:
+                    response = self.core.dispatch(method, path, body)
             await self._send(writer, response, keep_alive=keep_alive)
             if not keep_alive:
                 return
@@ -321,26 +358,23 @@ def serve_async(
     host: str = "127.0.0.1",
     port: int = 8080,
     engine: AssessmentEngine | None = None,
-    quiet: bool = False,
     grace_seconds: float = 5.0,
     max_inflight: int = 8,
     max_queue: int = 32,
-    executor_workers: int = 8,
     banner: str | None = None,
 ) -> None:
-    """Run the asyncio flavor until interrupted (``repro-serve --async``).
+    """Serve until ``SIGTERM``/``SIGINT`` (the ``repro-serve`` entry point).
 
     *banner*, when given, is printed once the socket is bound, with
     ``{port}`` substituted — the load harness parses it to discover an
-    ephemeral port.  Exits cleanly on ``SIGTERM``/``SIGINT``, draining
-    in-flight requests for up to *grace_seconds* first.
+    ephemeral port.  A failed bind raises :class:`OSError` before any
+    banner.  On a signal the server drains in-flight requests for up to
+    *grace_seconds* and returns.
     """
     core = ServiceCore(
         engine=engine, max_inflight=max_inflight, max_queue=max_queue
     )
-    server = AsyncAssessmentServer(
-        core=core, executor_workers=executor_workers, quiet=quiet
-    )
+    server = AsyncAssessmentServer(core=core)
     try:
         asyncio.run(
             _run_until_signal(server, host, port, grace_seconds, banner)

@@ -2,7 +2,7 @@
 
 When the computation path fails repeatedly (injected I/O faults, a bad
 disk, a poisoned dependency), letting every new request run the doomed
-computation wastes handler threads and piles latency onto clients that
+computation wastes executor threads and piles latency onto clients that
 could have been told to back off immediately.  The breaker implements
 the classic three-state automaton:
 

@@ -432,13 +432,8 @@ class AssessmentCache:
         first = True
         while True:
             if not first:
-                assessment = self._read_disk(fingerprint)
+                assessment = self._coalesce_from_disk(fingerprint)
                 if assessment is not None:
-                    with self._lock:
-                        self._stats["hits"] += 1
-                        self._stats["coalesced"] += 1
-                        self._stats["lease_coalesced"] += 1
-                        self._store_memory(fingerprint, assessment)
                     return assessment, "coalesced"
             first = False
             lease = acquire_lease(lease_path)
@@ -466,10 +461,28 @@ class AssessmentCache:
                 # MISSING (owner released between our acquire attempt and
                 # the stat) — loop around: the artifact is probably there.
             if lease is not None:
+                # Another replica may have committed and released between
+                # our last disk read and this lease: check once more
+                # before computing, or the fleet computes it twice.
+                assessment = self._coalesce_from_disk(fingerprint)
+                if assessment is not None:
+                    lease.release()
+                    return assessment, "coalesced"
                 with self._lock:
                     self._stats["lease_acquired"] += 1
                     self._stats["misses"] += 1
                 return self._compute_with_lease(fingerprint, compute, lease, store)
+
+    def _coalesce_from_disk(self, fingerprint: str) -> RiskAssessment | None:
+        """Serve another replica's committed artifact, if it is there."""
+        assessment = self._read_disk(fingerprint)
+        if assessment is not None:
+            with self._lock:
+                self._stats["hits"] += 1
+                self._stats["coalesced"] += 1
+                self._stats["lease_coalesced"] += 1
+                self._store_memory(fingerprint, assessment)
+        return assessment
 
     def _compute_with_lease(
         self,

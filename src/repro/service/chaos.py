@@ -406,7 +406,6 @@ def run_chaos(
     duration_seconds: float = 10.0,
     replicas: int = 2,
     connections: int = 6,
-    flavor: str = "threaded",
     profiles: int = 18,
     lease_stale_seconds: float = 1.0,
     min_kills: int = 3,
@@ -444,7 +443,6 @@ def run_chaos(
     )
     pool = ReplicaPool(
         count=replicas,
-        flavor=flavor,
         cache_dir=cache_dir,
         shared=True,
         max_queue=256,
@@ -494,7 +492,6 @@ def run_chaos(
         "label": label,
         "version": repro.__version__,
         "seed": seed,
-        "flavor": flavor,
         "replicas": replicas,
         "connections": connections,
         "profiles": profiles,

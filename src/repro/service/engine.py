@@ -21,7 +21,8 @@ recipe.  The :class:`AssessmentEngine` wraps it in what a server needs:
   across a process pool.
 * **Retries and deadlines** — transient failures are retried with
   backoff, and a per-request :class:`~repro.budget.ComputeBudget`
-  degrades the recipe to an uncached INCONCLUSIVE answer.
+  degrades the recipe to an INCONCLUSIVE answer; nothing computed by
+  a request whose budget ran out is cached.
 """
 
 from __future__ import annotations
@@ -125,6 +126,17 @@ def _fingerprints(
     )
 
 
+def _cacheable(assessment: RiskAssessment, budget: ComputeBudget) -> bool:
+    """Whether a deadline-bearing answer may enter the cache.
+
+    A partial answer never does.  Nor does one whose budget ran out: the
+    exact and attack stages drop their result on exhaustion and the
+    recipe still answers, without an enrichment a budget-free run
+    reports.
+    """
+    return not (assessment.partial or budget.expired() or budget.cancelled())
+
+
 class AssessmentEngine:
     """Cached, intermediate-sharing executor of the Assess-Risk recipe.
 
@@ -206,9 +218,10 @@ class AssessmentEngine:
         :mod:`repro.service.budget`).  Budgets are deliberately *not*
         part of the fingerprint — the answer to a question does not
         depend on how long the client was willing to wait — so a
-        deadline-bearing request still hits the shared cache; but a
-        *partial* (INCONCLUSIVE) result is never cached, because a
-        different deadline could have done better.  Deadline-bearing
+        deadline-bearing request still hits the shared cache; but an
+        answer computed by a request whose budget ran out is never
+        cached (see :func:`_cacheable`), because a different deadline
+        could have done better.  Deadline-bearing
         misses skip the single-flight rendezvous: sharing another
         request's computation would mean inheriting someone else's
         deadline.
@@ -240,7 +253,7 @@ class AssessmentEngine:
                 fingerprint,
                 lambda: self.breaker.call(compute),
                 timeout_seconds=budget.remaining_seconds(),
-                store=lambda result: not result.partial,
+                store=lambda result: _cacheable(result, budget),
             )
             cached = origin != "computed"
             if not cached and assessment.partial:
@@ -252,9 +265,9 @@ class AssessmentEngine:
             else:
                 assessment = self.breaker.call(compute)
                 cached = False
-                if not assessment.partial:
+                if _cacheable(assessment, budget):
                     self.cache.put(fingerprint, assessment)
-                else:
+                if assessment.partial:
                     self.metrics.increment("partial_results")
         if cached:
             self.metrics.increment("cache_hits")
@@ -293,7 +306,7 @@ class AssessmentEngine:
         per-job cooperative :class:`~repro.budget.ComputeBudget` on the
         serial path: computations degrade to INCONCLUSIVE partial
         results near the deadline, retry backoff never sleeps past it,
-        and partial results are not cached.
+        and answers whose budget ran out are not cached.
         """
         if workers <= 1:
             return [
@@ -397,9 +410,9 @@ class AssessmentEngine:
                     assessment, origin = hit, "cache"
                 else:
                     assessment, origin = compute(), "computed"
-                    if not assessment.partial:
+                    if _cacheable(assessment, budget):
                         self.cache.put(fingerprint, assessment)
-                    else:
+                    if assessment.partial:
                         self.metrics.increment("partial_results")
         except Exception as exc:  # per-job capture, batch survives
             self.metrics.increment("errors")

@@ -1,9 +1,9 @@
-"""Transport-agnostic route layer shared by both HTTP front ends.
+"""Transport-agnostic route layer behind the HTTP front end.
 
-The threaded server (:mod:`repro.service.server`) and the asyncio
-server (:mod:`repro.service.aio`) speak different socket dialects but
-answer the same four routes with the same semantics.  Everything that
-is *not* socket plumbing lives here, in :class:`ServiceCore`:
+The asyncio server (:mod:`repro.service.aio`) owns the sockets and the
+HTTP framing; everything that is *not* socket plumbing lives here, in
+:class:`ServiceCore`, which tests and the repo benchmark also drive
+directly:
 
 * request validation and the ``400/404/422/429/500/503`` error mapping,
 * admission control (one :class:`AdmissionController` per core, shared
@@ -14,10 +14,10 @@ is *not* socket plumbing lives here, in :class:`ServiceCore`:
 
 A transport parses one request off its socket, calls
 :meth:`ServiceCore.dispatch`, and writes the returned
-:class:`RouteResponse` back in its own framing.  Keeping dispatch
-synchronous is deliberate: the asyncio front end runs it on a bounded
-thread executor, the threaded front end runs it on the handler thread,
-and both get identical behaviour from one implementation.
+:class:`RouteResponse` back in its own framing.  Dispatch is
+synchronous and thread-safe: the front end answers ``GET`` routes on
+its event loop and runs ``POST`` routes on a thread executor, where
+admission control bounds how many compute at once.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _error(
 
 
 class ServiceCore:
-    """Shared dispatch for every HTTP front end mounted on one engine."""
+    """Route dispatch over one engine, admission controller and crack store."""
 
     def __init__(
         self,

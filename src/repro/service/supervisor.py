@@ -7,7 +7,7 @@ expects the fleet to heal.  This module owns that lifecycle:
 
 * :class:`ReplicaSupervisor` polls every replica (``tick``), restarts a
   dead one after an exponential backoff with deterministic jitter, and
-  re-binds the replica's *original* port (both server flavors set
+  re-binds the replica's *original* port (the server sets
   ``SO_REUSEADDR``), so clients keep a fixed address per replica and
   simply reconnect.
 * A replica that dies ``crash_loop_threshold`` times within
@@ -27,11 +27,10 @@ Time is injected (``clock`` + ``sleep``) so backoff and crash-loop
 windows unit-test against a fake clock; the background monitor thread
 (:meth:`start_monitor`) is only used for real wall-clock runs.
 
-Supervisor state is observable three ways: :meth:`status` (a JSON-able
-report), the ``restarts`` / ``crash_loops`` / ``replica_deaths`` /
+Supervisor state is observable two ways: :meth:`status` (a JSON-able
+report), and the ``restarts`` / ``crash_loops`` / ``replica_deaths`` /
 ``sigkill_escalations`` counters and per-replica uptime gauges on
-:attr:`metrics`, and — for external tooling — a tiny HTTP endpoint
-(:meth:`start_metrics_server`) serving both under ``GET /metrics``.
+:attr:`metrics`.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from http.client import HTTPConnection
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Protocol
 
 from repro.errors import ReproError
@@ -180,7 +178,6 @@ class ReplicaSupervisor:
         self._stopping = False
         self._monitor: threading.Thread | None = None
         self._monitor_stop = threading.Event()
-        self._metrics_http: ThreadingHTTPServer | None = None
         #: Last-known ``GET /metrics`` payload per (replica, incarnation);
         #: the chaos verifier reconciles summed counters from these.
         self.metric_snapshots: dict[tuple[int, int], dict[str, Any]] = {}
@@ -448,7 +445,6 @@ class ReplicaSupervisor:
         import signal as _signal
 
         self.stop_monitor()
-        self.stop_metrics_server()
         with self._lock:
             self._stopping = True
             states = list(self._replicas)
@@ -519,55 +515,3 @@ class ReplicaSupervisor:
                 for state in self._replicas
                 if state.status == "crash_loop"
             ]
-
-    # -- the /metrics endpoint --------------------------------------------
-
-    def start_metrics_server(self, port: int = 0) -> int:
-        """Serve supervisor state over HTTP; returns the bound port.
-
-        ``GET /metrics`` answers ``{"supervisor": status(), "metrics":
-        metrics.snapshot()}``; anything else is 404.  One endpoint for
-        the whole fleet — replicas keep their own ``/metrics``.
-        """
-        supervisor = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def log_message(self, format: str, *args: object) -> None:
-                pass
-
-            def do_GET(self) -> None:
-                if self.path != "/metrics":
-                    self.send_response(404)
-                    self.send_header("Content-Length", "0")
-                    self.end_headers()
-                    return
-                body = json.dumps(
-                    {
-                        "supervisor": supervisor.status(),
-                        "metrics": supervisor.metrics.snapshot(),
-                    },
-                    sort_keys=True,
-                ).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        with self._lock:
-            if self._metrics_http is not None:
-                return self._metrics_http.server_address[1]
-            server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
-            server.daemon_threads = True
-            self._metrics_http = server
-        threading.Thread(
-            target=server.serve_forever, name="supervisor-metrics", daemon=True
-        ).start()
-        return server.server_address[1]
-
-    def stop_metrics_server(self) -> None:
-        with self._lock:
-            server, self._metrics_http = self._metrics_http, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()

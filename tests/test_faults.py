@@ -34,7 +34,6 @@ from repro.service import (
     InjectedCrash,
     injected_faults,
     load_schedule,
-    make_server,
     request_fingerprint,
     run_batch,
 )
@@ -561,35 +560,13 @@ class TestBatchCLIFaults:
         assert "error" in capsys.readouterr().err
 
 
-@pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _post(url, payload):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
 class TestServerFaults:
     def test_internal_fault_returns_structured_500(self, live_server, profile):
-        server, url = live_server
+        server = live_server
         payload = {"profile": profile_to_json(profile), "tolerance": 0.1}
         with injected_faults([FaultRule(site="engine.compute", action="error")]):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(f"{url}/assess", payload)
+                server.post("/assess", payload)
         with excinfo.value as error:
             assert error.code == 500
             body = json.loads(error.read())
@@ -598,20 +575,17 @@ class TestServerFaults:
         assert "injected" in body["error"]["message"]
         assert server.engine.metrics.counter("http_500") == 1
         # the fault was transient: the same request now succeeds
-        status, answer = _post(f"{url}/assess", payload)
+        status, answer = server.post("/assess", payload)
         assert status == 200 and not answer["cached"]
 
-    def test_graceful_shutdown_drains_inflight_requests(self, profile):
-        server = make_server(host="127.0.0.1", port=0)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def test_graceful_shutdown_drains_inflight_requests(self, live_server, profile):
+        server = live_server
         responses = []
 
         def slow_request():
             responses.append(
-                _post(
-                    f"{url}/assess",
+                server.post(
+                    "/assess",
                     {"profile": profile_to_json(profile), "tolerance": 0.1},
                 )
             )
@@ -629,7 +603,6 @@ class TestServerFaults:
         assert responses and responses[0][0] == 200
         assert server.inflight_requests() == 0
         assert server.engine.metrics.gauge("inflight_requests") == 0
-        thread.join(timeout=5)
 
     def test_sigterm_shuts_repro_serve_down_cleanly(self, tmp_path):
         env = dict(os.environ)

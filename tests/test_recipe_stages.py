@@ -18,8 +18,8 @@ import pytest
 from repro.budget import ComputeBudget
 from repro.data import FrequencyProfile, TransactionDatabase
 from repro.io import assessment_to_json
-from repro.recipe.assess import RecipeStages, assess_risk
-from repro.service import AssessmentEngine
+from repro.recipe.assess import Decision, RecipeStages, assess_risk
+from repro.service import AssessmentCache, AssessmentEngine
 
 
 def _release() -> FrequencyProfile:
@@ -192,6 +192,28 @@ class TestEngineStageCounters:
         assert timers["stage:oestimate"]["count"] == 4
         assert counters["exact_memo_hits"] == counters["attack_memo_hits"] == 3
         assert counters["computed"] == 4
+
+
+class TestDeadlineCutAnswersStayUncached:
+    @pytest.mark.parametrize("tier", ["memory", "disk", "shared"])
+    def test_answer_missing_an_enrichment_is_not_served_later(self, tmp_path, tier):
+        if tier == "memory":
+            cache = AssessmentCache()
+        else:
+            cache = AssessmentCache(directory=tmp_path, shared=tier == "shared")
+        engine = AssessmentEngine(cache=cache)
+        # The deadline passes inside the attack stage: the interval rung
+        # still decides, but without its attack summary.
+        cut = engine.assess(_release(), 0.1, budget=_expiring_budget(3)).assessment
+        assert cut.decision is Decision.DISCLOSE_INTERVAL
+        assert cut.attack is None and not cut.partial
+
+        full = AssessmentEngine().assess(_release(), 0.1)
+        assert full.assessment.attack is not None
+        # A miss in both tiers: the cut answer was stored in neither.
+        again = engine.assess(_release(), 0.1)
+        assert not again.cached
+        assert again.assessment == full.assessment
 
 
 if __name__ == "__main__":

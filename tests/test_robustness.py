@@ -39,7 +39,6 @@ from repro.service import (
     InjectedCrash,
     QueueFullError,
     injected_faults,
-    make_server,
 )
 from repro.service import faults as faults_module
 from repro.service.metrics import ServiceMetrics
@@ -61,32 +60,10 @@ def profile():
     return FrequencyProfile({i: 40 * i for i in range(1, 21)}, 1000)
 
 
-@pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _post(url, payload):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
-def _post_error(url, payload):
+def _post_error(server, path, payload):
     """POST expecting an HTTP error; returns (status, body, headers)."""
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _post(url, payload)
+        server.post(path, payload)
     with excinfo.value as error:
         return error.code, json.loads(error.read()), dict(error.headers)
 
@@ -215,7 +192,7 @@ class TestDeadlineHTTP:
     """Acceptance: anytime answers over HTTP, under deterministic faults."""
 
     def test_over_budget_request_answers_200_partial(self, live_server, profile):
-        server, url = live_server
+        server = live_server
         payload = {
             "profile": profile_to_json(profile),
             "tolerance": 0.1,
@@ -235,7 +212,7 @@ class TestDeadlineHTTP:
                 )
             ]
         ):
-            status, answer = _post(f"{url}/assess", payload)
+            status, answer = server.post("/assess", payload)
         assert status == 200
         assert answer["partial"] is True
         assert not answer["cached"]
@@ -251,8 +228,8 @@ class TestDeadlineHTTP:
 
         # The partial was never cached: without the deadline the same
         # question now computes the full answer from scratch.
-        status, full = _post(
-            f"{url}/assess", {"profile": profile_to_json(profile), "tolerance": 0.1}
+        status, full = server.post(
+            "/assess", {"profile": profile_to_json(profile), "tolerance": 0.1}
         )
         assert status == 200
         assert full["partial"] is False
@@ -260,7 +237,7 @@ class TestDeadlineHTTP:
         assert full["assessment"]["decision"] != "INCONCLUSIVE"
 
     def test_nothing_ready_yet_is_503_with_retry_after(self, live_server, profile):
-        server, url = live_server
+        server = live_server
         payload = {
             "profile": profile_to_json(profile),
             "tolerance": 0.1,
@@ -275,17 +252,18 @@ class TestDeadlineHTTP:
                 )
             ]
         ):
-            status, body, headers = _post_error(f"{url}/assess", payload)
+            status, body, headers = _post_error(server, "/assess", payload)
         assert status == 503
         assert body["error"]["type"] == "BudgetExceeded"
         assert "deadline expired" in body["error"]["message"]
         assert headers["Retry-After"] == "1"
 
     def test_deadline_validation(self, live_server, profile):
-        _, url = live_server
+        server = live_server
         for bad in (0, -1.0, 10**9):
             status, body, _ = _post_error(
-                f"{url}/assess",
+                server,
+                "/assess",
                 {
                     "profile": profile_to_json(profile),
                     "tolerance": 0.1,
@@ -296,9 +274,9 @@ class TestDeadlineHTTP:
             assert "deadline" in body["error"]["message"]
 
     def test_generous_deadline_is_a_normal_answer(self, live_server, profile):
-        _, url = live_server
-        status, answer = _post(
-            f"{url}/assess",
+        server = live_server
+        status, answer = server.post(
+            "/assess",
             {
                 "profile": profile_to_json(profile),
                 "tolerance": 0.1,
@@ -308,8 +286,8 @@ class TestDeadlineHTTP:
         assert status == 200
         assert answer["partial"] is False
         # and the full answer WAS cached for the next client
-        status, again = _post(
-            f"{url}/assess", {"profile": profile_to_json(profile), "tolerance": 0.1}
+        status, again = server.post(
+            "/assess", {"profile": profile_to_json(profile), "tolerance": 0.1}
         )
         assert again["cached"]
 
@@ -328,10 +306,10 @@ class TestRequestValidationHTTP:
     def test_out_of_range_parameters_are_structured_400s(
         self, live_server, profile, overrides
     ):
-        _, url = live_server
+        server = live_server
         payload = {"profile": profile_to_json(profile), "tolerance": 0.1}
         payload.update(overrides)
-        status, body, _ = _post_error(f"{url}/assess", payload)
+        status, body, _ = _post_error(server, "/assess", payload)
         assert status == 400
         assert body["status"] == 400
         assert body["error"]["type"] == "ValueError"
@@ -363,7 +341,7 @@ class TestTruncatedBody:
         )
 
     def test_truncated_body_is_a_400_not_a_parse_of_the_prefix(self, live_server):
-        server, _ = live_server
+        server = live_server
         body = b'{"tolerance": 0.1}'
         status, payload = self._raw_exchange(
             server.server_port, self._head(len(body) + 500), body, close_early=True
@@ -372,7 +350,7 @@ class TestTruncatedBody:
         assert "truncated request body" in payload["error"]["message"]
 
     def test_body_delivered_in_short_reads_is_assembled(self, live_server, profile):
-        server, _ = live_server
+        server = live_server
         body = json.dumps(
             {"profile": profile_to_json(profile), "tolerance": 0.1}
         ).encode()
@@ -393,102 +371,133 @@ class TestTruncatedBody:
 
 
 class TestAdmissionHTTP:
-    def test_queue_overflow_sheds_with_429(self, profile):
-        server = make_server(host="127.0.0.1", port=0, max_inflight=1, max_queue=0)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            results = []
+    def test_queue_overflow_sheds_with_429(self, start_server, profile):
+        server = start_server(max_inflight=1, max_queue=0)
+        results = []
 
-            def slow_request():
-                results.append(
-                    _post(
-                        f"{url}/assess",
-                        {"profile": profile_to_json(profile), "tolerance": 0.1},
-                    )
+        def slow_request():
+            results.append(
+                server.post(
+                    "/assess",
+                    {"profile": profile_to_json(profile), "tolerance": 0.1},
                 )
+            )
 
-            with injected_faults(
-                [
-                    FaultRule(
-                        site="engine.compute",
-                        action="delay",
-                        delay_seconds=0.6,
-                        times=1,
-                    )
-                ]
-            ):
-                holder = threading.Thread(target=slow_request)
-                holder.start()
-                time.sleep(0.2)  # let it occupy the only compute slot
-                status, body, headers = _post_error(
-                    f"{url}/assess",
-                    {"profile": profile_to_json(profile), "tolerance": 0.2},
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=0.6,
+                    times=1,
                 )
-                holder.join(timeout=10)
-            assert status == 429
-            assert body["error"]["type"] == "QueueFullError"
-            assert int(headers["Retry-After"]) >= 1
-            assert server.engine.metrics.counter("shed") == 1
-            assert results and results[0][0] == 200
-            assert server.engine.metrics.gauge("inflight") == 0
-            assert server.engine.metrics.gauge("queued") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            ]
+        ):
+            holder = threading.Thread(target=slow_request)
+            holder.start()
+            time.sleep(0.2)  # let it occupy the only compute slot
+            status, body, headers = _post_error(
+                server,
+                "/assess",
+                {"profile": profile_to_json(profile), "tolerance": 0.2},
+            )
+            holder.join(timeout=10)
+        assert status == 429
+        assert body["error"]["type"] == "QueueFullError"
+        assert int(headers["Retry-After"]) >= 1
+        assert server.engine.metrics.counter("shed") == 1
+        assert results and results[0][0] == 200
+        assert server.engine.metrics.gauge("inflight") == 0
+        assert server.engine.metrics.gauge("queued") == 0
 
-    def test_queued_deadline_request_times_out_with_503(self, profile):
-        server = make_server(host="127.0.0.1", port=0, max_inflight=1, max_queue=4)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            results = []
+    def test_queued_deadline_request_times_out_with_503(self, start_server, profile):
+        server = start_server(max_inflight=1, max_queue=4)
+        results = []
 
-            def slow_request():
-                results.append(
-                    _post(
-                        f"{url}/assess",
-                        {"profile": profile_to_json(profile), "tolerance": 0.1},
-                    )
+        def slow_request():
+            results.append(
+                server.post(
+                    "/assess",
+                    {"profile": profile_to_json(profile), "tolerance": 0.1},
                 )
+            )
 
-            with injected_faults(
-                [
-                    FaultRule(
-                        site="engine.compute",
-                        action="delay",
-                        delay_seconds=0.8,
-                        times=1,
-                    )
-                ]
-            ):
-                holder = threading.Thread(target=slow_request)
-                holder.start()
-                time.sleep(0.2)
-                status, body, headers = _post_error(
-                    f"{url}/assess",
-                    {
-                        "profile": profile_to_json(profile),
-                        "tolerance": 0.2,
-                        "deadline_seconds": 0.15,
-                    },
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=0.8,
+                    times=1,
                 )
-                holder.join(timeout=10)
-            assert status == 503
-            assert body["error"]["type"] == "AdmissionTimeout"
-            assert "Retry-After" in headers
-            assert results and results[0][0] == 200
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+            ]
+        ):
+            holder = threading.Thread(target=slow_request)
+            holder.start()
+            time.sleep(0.2)
+            status, body, headers = _post_error(
+                server,
+                "/assess",
+                {
+                    "profile": profile_to_json(profile),
+                    "tolerance": 0.2,
+                    "deadline_seconds": 0.15,
+                },
+            )
+            holder.join(timeout=10)
+        assert status == 503
+        assert body["error"]["type"] == "AdmissionTimeout"
+        assert "Retry-After" in headers
+        assert results and results[0][0] == 200
+
+    def test_overload_sheds_and_healthz_stays_live_at_default_limits(
+        self, start_server, profile
+    ):
+        # 48 concurrent requests against 8 compute slots and 32 queue
+        # places, all held by one slow compute: the overflow must be
+        # shed with 429 instead of waiting, and a liveness probe must
+        # not queue behind the held requests.
+        server = start_server()
+        payload = {"profile": profile_to_json(profile), "tolerance": 0.1}
+        statuses = []
+
+        def request():
+            try:
+                statuses.append(server.post("/assess", payload)[0])
+            except urllib.error.HTTPError as error:
+                with error:
+                    statuses.append(error.code)
+
+        with injected_faults(
+            [
+                FaultRule(
+                    site="engine.compute",
+                    action="delay",
+                    delay_seconds=1.0,
+                    times=1,
+                )
+            ]
+        ):
+            clients = [threading.Thread(target=request) for _ in range(48)]
+            for client in clients:
+                client.start()
+            time.sleep(0.3)  # every request is now admitted, queued or shed
+            start = time.perf_counter()
+            with urllib.request.urlopen(f"{server.url}/healthz", timeout=5) as reply:
+                assert json.loads(reply.read())["status"] == "ok"
+            healthz_seconds = time.perf_counter() - start
+            for client in clients:
+                client.join(timeout=20)
+        assert healthz_seconds < 0.5
+        assert len(statuses) == 48
+        assert statuses.count(429) >= 1
+        assert set(statuses) <= {200, 429}
+        assert server.engine.metrics.counter("shed") == statuses.count(429)
+        assert server.engine.metrics.gauge("inflight") == 0
 
 
 class TestBreakerHTTP:
-    def test_failure_streak_opens_then_half_open_recovers(self):
+    def test_failure_streak_opens_then_half_open_recovers(self, start_server):
         clock = FakeClock()
         metrics = ServiceMetrics()
         engine = AssessmentEngine(
@@ -497,41 +506,34 @@ class TestBreakerHTTP:
                 failure_threshold=2, cooldown_seconds=30.0, clock=clock, metrics=metrics
             ),
         )
-        server = make_server(host="127.0.0.1", port=0, engine=engine)
-        url = f"http://127.0.0.1:{server.server_port}"
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            def payload(k):
-                # distinct questions, so nothing is served from cache
-                return {
-                    "profile": profile_to_json(
-                        FrequencyProfile({i: 40 * i + k for i in range(1, 21)}, 1000)
-                    ),
-                    "tolerance": 0.1,
-                }
+        server = start_server(engine=engine)
 
-            with injected_faults(
-                [FaultRule(site="engine.compute", action="error", times=2)]
-            ):
-                for k in (0, 1):
-                    status, _, _ = _post_error(f"{url}/assess", payload(k))
-                    assert status == 500
-            assert metrics.gauge("breaker_state") == 1  # open
-            status, body, headers = _post_error(f"{url}/assess", payload(2))
-            assert status == 503
-            assert body["error"]["type"] == "CircuitOpenError"
-            assert int(headers["Retry-After"]) >= 1
-            assert metrics.counter("breaker_fast_fail") == 1
-            # cooldown elapses -> half-open probe succeeds -> closed again
-            clock.advance(30.0)
-            status, answer = _post(f"{url}/assess", payload(3))
-            assert status == 200 and answer["partial"] is False
-            assert metrics.gauge("breaker_state") == 0
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        def payload(k):
+            # distinct questions, so nothing is served from cache
+            return {
+                "profile": profile_to_json(
+                    FrequencyProfile({i: 40 * i + k for i in range(1, 21)}, 1000)
+                ),
+                "tolerance": 0.1,
+            }
+
+        with injected_faults(
+            [FaultRule(site="engine.compute", action="error", times=2)]
+        ):
+            for k in (0, 1):
+                status, _, _ = _post_error(server, "/assess", payload(k))
+                assert status == 500
+        assert metrics.gauge("breaker_state") == 1  # open
+        status, body, headers = _post_error(server, "/assess", payload(2))
+        assert status == 503
+        assert body["error"]["type"] == "CircuitOpenError"
+        assert int(headers["Retry-After"]) >= 1
+        assert metrics.counter("breaker_fast_fail") == 1
+        # cooldown elapses -> half-open probe succeeds -> closed again
+        clock.advance(30.0)
+        status, answer = server.post("/assess", payload(3))
+        assert status == 200 and answer["partial"] is False
+        assert metrics.gauge("breaker_state") == 0
 
 
 class TestBatchCheckpointCrash:
@@ -591,7 +593,9 @@ class TestBatchCheckpointCrash:
 
 
 class TestSigtermDrain:
-    def test_sigterm_drains_deadline_bearing_request(self, tmp_path, profile):
+    def test_sigterm_drains_deadline_bearing_request(
+        self, tmp_path, profile, post_json
+    ):
         """SIGTERM mid-request: the in-flight deadline-bearing answer is
         still delivered before the process exits 0 (satellite 3)."""
         schedule = tmp_path / "faults.json"
@@ -632,7 +636,7 @@ class TestSigtermDrain:
 
             def request():
                 responses.append(
-                    _post(
+                    post_json(
                         f"http://127.0.0.1:{port}/assess",
                         {
                             "profile": profile_to_json(profile),

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import build_serve_parser
 from repro.data.database import FrequencyProfile
 from repro.errors import ReproError
 from repro.io import profile_to_json
@@ -41,7 +42,6 @@ from repro.service.loadgen import (
     request_stream,
     synthetic_profile,
 )
-from repro.service.server import make_server
 from repro.recipe.assess import Decision, RiskAssessment
 
 
@@ -183,6 +183,40 @@ class TestSharedCache:
             thread.join(timeout=10)
         assert results["a"][1] == "computed"
         assert results["b"][1] == "coalesced"
+        assert b.stats()["lease_coalesced"] == 1
+
+    def test_artifact_committed_before_our_lease_is_not_recomputed(
+        self, tmp_path, monkeypatch
+    ):
+        """Replica A runs its whole cold request in the window between
+        B's miss and B's lease: B must serve A's artifact, not commit a
+        second compute."""
+        from repro.service import cache as cache_module
+
+        a = AssessmentCache(directory=tmp_path, shared=True)
+        b = AssessmentCache(directory=tmp_path, shared=True)
+        computes = []
+        real_acquire = cache_module.acquire_lease
+        interleaved = []
+
+        def compute():
+            computes.append(1)
+            return _assessment()
+
+        def acquire(path, *args, **kwargs):
+            if not interleaved:
+                interleaved.append(1)
+                assert a.get_or_compute("fp", compute)[1] == "computed"
+            return real_acquire(path, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "acquire_lease", acquire)
+        assessment, origin = b.get_or_compute("fp", compute)
+        assert interleaved and computes == [1]
+        assert origin == "coalesced"
+        assert assessment == _assessment()
+        commits = (tmp_path / "commits.log").read_text().splitlines()
+        assert len(commits) == 1, commits
+        assert list(tmp_path.glob("*.lease")) == []
         assert b.stats()["lease_coalesced"] == 1
 
     def test_deadline_expiry_computes_locally(self, tmp_path):
@@ -417,62 +451,39 @@ class TestAsyncServer:
 
         _run(scenario())
 
+    def test_connection_reused_across_requests(self, live_server, profile):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server_port, timeout=10
+        )
+        connection.request("GET", "/healthz")
+        first = connection.getresponse()
+        assert first.status == 200 and first.version == 11
+        first.read()
+        socket_before = connection.sock
+        assert socket_before is not None  # keep-alive left it open
+        body = json.dumps({"profile": profile_to_json(profile), "tolerance": 0.9})
+        connection.request(
+            "POST", "/assess", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        second = connection.getresponse()
+        assert second.status == 200
+        second.read()
+        assert connection.sock is socket_before  # same TCP connection
+        connection.close()
 
-# -- threaded server keep-alive ---------------------------------------------
-
-
-class TestThreadedKeepAlive:
-    def test_connection_reused_across_requests(self, profile):
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", server.server_port, timeout=10
-            )
-            connection.request("GET", "/healthz")
-            first = connection.getresponse()
-            assert first.status == 200 and first.version == 11
-            first.read()
-            socket_before = connection.sock
-            assert socket_before is not None  # keep-alive left it open
-            body = json.dumps(
-                {"profile": profile_to_json(profile), "tolerance": 0.9}
-            )
-            connection.request(
-                "POST", "/assess", body=body,
-                headers={"Content-Type": "application/json"},
-            )
-            second = connection.getresponse()
-            assert second.status == 200
-            second.read()
-            assert connection.sock is socket_before  # same TCP connection
-            connection.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-    def test_error_responses_carry_content_length(self):
-        server = make_server(host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", server.server_port, timeout=10
-            )
-            for path, expected in (("/nope", 404), ("/assess", 405)):
-                connection.request("GET", path)
-                response = connection.getresponse()
-                declared = int(response.headers["Content-Length"])
-                data = response.read()
-                assert len(data) == declared
-                assert response.status in (404, expected)
-            connection.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+    def test_error_responses_carry_content_length(self, live_server):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", live_server.server_port, timeout=10
+        )
+        for path, expected in (("/nope", 404), ("/assess", 405)):
+            connection.request("GET", path)
+            response = connection.getresponse()
+            declared = int(response.headers["Content-Length"])
+            data = response.read()
+            assert len(data) == declared
+            assert response.status in (404, expected)
+        connection.close()
 
 
 # -- metrics extensions -----------------------------------------------------
@@ -610,7 +621,13 @@ def _get_metrics(port):
 
 @pytest.mark.faults
 class TestCrossProcessSingleFlight:
-    @pytest.mark.parametrize("flavor_args", [[], ["--async"]])
+    # Two server configurations: default admission limits, and a single
+    # admission slot with no queue. The replica that waits on the other's
+    # lease holds its one slot while it waits, so single flight must hold
+    # even when that slot is all the replica has.
+    @pytest.mark.parametrize(
+        "flavor_args", [[], ["--max-inflight", "1", "--max-queue", "0"]]
+    )
     def test_two_replicas_one_cold_compute(self, tmp_path, profile, flavor_args):
         """Two real server processes race one cold fingerprint: exactly
         one computes, both answer byte-identical assessments, one
@@ -724,8 +741,14 @@ class TestCrossProcessSingleFlight:
             process.stdout.close()
 
     def test_async_flag_serves_and_shuts_down(self):
+        """``--async`` is gone because the asyncio server is the only
+        front end: ``repro-serve`` refuses the flag, and without it serves
+        ``/healthz`` and exits 0 on ``SIGINT``."""
+        with pytest.raises(SystemExit) as refused:
+            build_serve_parser().parse_args(["--async"])
+        assert refused.value.code == 2
         env = _serve_env()
-        process = _spawn_server(["--port", "0", "--grace", "2", "--async"], env)
+        process = _spawn_server(["--port", "0", "--grace", "2"], env)
         try:
             port = _await_port(process)
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
@@ -735,7 +758,7 @@ class TestCrossProcessSingleFlight:
             assert json.loads(response.read())["status"] == "ok"
             connection.close()
         finally:
-            process.send_signal(signal.SIGTERM)
+            process.send_signal(signal.SIGINT)
             out, _ = process.communicate(timeout=15)
         assert process.returncode == 0
         assert "shutting down" in out

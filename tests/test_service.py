@@ -26,7 +26,6 @@ from repro.service import (
     AssessmentParams,
     ServiceMetrics,
     derived_seed,
-    make_server,
     profile_fingerprint,
     request_fingerprint,
 )
@@ -288,54 +287,32 @@ class TestMetrics:
         assert metrics.gauge("inflight") == 0
 
 
-@pytest.fixture
-def live_server():
-    server = make_server(host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-def _post(url, payload):
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
-
-
 class TestServer:
     def test_assess_roundtrip_and_cache(self, live_server, profile):
         payload = {"profile": profile_to_json(profile), "tolerance": 0.1}
-        status, first = _post(f"{live_server}/assess", payload)
+        status, first = live_server.post("/assess", payload)
         assert status == 200
         assert not first["cached"]
         restored = assessment_from_json(first["assessment"])
         assert restored == AssessmentEngine().assess(profile, 0.1).assessment
 
-        status, second = _post(f"{live_server}/assess", payload)
+        status, second = live_server.post("/assess", payload)
         assert status == 200
         assert second["cached"]
         assert second["assessment"] == first["assessment"]
         assert second["fingerprint"] == first["fingerprint"]
 
     def test_healthz_and_metrics(self, live_server):
-        with urllib.request.urlopen(f"{live_server}/healthz") as response:
+        with urllib.request.urlopen(f"{live_server.url}/healthz") as response:
             assert json.loads(response.read())["status"] == "ok"
-        with urllib.request.urlopen(f"{live_server}/metrics") as response:
+        with urllib.request.urlopen(f"{live_server.url}/metrics") as response:
             body = json.loads(response.read())
         assert "counters" in body["metrics"]
         assert body["cache"]["capacity"] >= 1
 
     def test_bad_request_is_400(self, live_server, profile):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/assess", {"tolerance": 0.1})
+            live_server.post("/assess", {"tolerance": 0.1})
         with excinfo.value as error:
             assert error.code == 400
             body = json.loads(error.read())
@@ -343,8 +320,8 @@ class TestServer:
         assert body["error"]["type"] == "ValueError"
         assert "profile" in body["error"]["message"]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(
-                f"{live_server}/assess",
+            live_server.post(
+                "/assess",
                 {"profile": profile_to_json(profile), "tolerance": 7.0},
             )
         with excinfo.value as error:
@@ -354,7 +331,7 @@ class TestServer:
         payload = profile_to_json(profile)
         payload["counts"].append(payload["counts"][0])
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/assess", {"profile": payload, "tolerance": 0.1})
+            live_server.post("/assess", {"profile": payload, "tolerance": 0.1})
         with excinfo.value as error:
             assert error.code == 400
             body = json.loads(error.read())
@@ -365,7 +342,7 @@ class TestServer:
         payload = profile_to_json(profile)
         payload["counts"][0][1] = 3.7
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/assess", {"profile": payload, "tolerance": 0.1})
+            live_server.post("/assess", {"profile": payload, "tolerance": 0.1})
         with excinfo.value as error:
             assert error.code == 400
             body = json.loads(error.read())
@@ -374,7 +351,7 @@ class TestServer:
 
     def test_unknown_path_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{live_server}/nope")
+            urllib.request.urlopen(f"{live_server.url}/nope")
         with excinfo.value as error:
             assert error.code == 404
             body = json.loads(error.read())
@@ -488,8 +465,8 @@ class TestCrackEndpoint:
     STAIRCASE = [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
 
     def test_open_stream_close(self, live_server):
-        status, reply = _post(
-            f"{live_server}/crack/step",
+        status, reply = live_server.post(
+            "/crack/step",
             {"instance": {"adjacency": self.STAIRCASE, "truth": [0, 1, 2, 3]}},
         )
         assert status == 200
@@ -500,8 +477,8 @@ class TestCrackEndpoint:
         assert all(e["crack"] for e in forced)
 
         session = reply["session"]
-        status, reply = _post(
-            f"{live_server}/crack/step",
+        status, reply = live_server.post(
+            "/crack/step",
             {
                 "session": session,
                 "observations": [
@@ -514,20 +491,20 @@ class TestCrackEndpoint:
         assert reply["closed"]
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/crack/step", {"session": session})
+            live_server.post("/crack/step", {"session": session})
         with excinfo.value as error:
             assert error.code == 422
             body = json.loads(error.read())
         assert body["error"]["type"] == "SolverError"
 
     def test_contradiction_turns_infeasible(self, live_server):
-        status, reply = _post(
-            f"{live_server}/crack/step",
+        status, reply = live_server.post(
+            "/crack/step",
             {"instance": {"adjacency": self.STAIRCASE}},
         )
         session = reply["session"]
-        status, reply = _post(
-            f"{live_server}/crack/step",
+        status, reply = live_server.post(
+            "/crack/step",
             {
                 "session": session,
                 "observations": [{"kind": "confirm", "item": 1, "anon": 0}],
@@ -539,11 +516,11 @@ class TestCrackEndpoint:
 
     def test_malformed_requests(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/crack/step", {"instance": {"adjacency": []}})
+            live_server.post("/crack/step", {"instance": {"adjacency": []}})
         with excinfo.value as error:
             assert error.code == 422
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{live_server}/crack/step", {})
+            live_server.post("/crack/step", {})
         with excinfo.value as error:
             assert error.code == 422
 
