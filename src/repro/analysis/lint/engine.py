@@ -100,6 +100,7 @@ DETERMINISM_MODULES = frozenset(
 LAYERS: dict[str, int] = {
     "errors": 0,
     "budget": 1,
+    "memo": 1,
     "data": 1,
     "mining": 2,
     "anonymize": 2,

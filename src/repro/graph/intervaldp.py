@@ -31,17 +31,16 @@ O-estimate or MCMC rungs of the strategy ladder.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Generic, Iterator, Mapping, TypeVar
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from repro.budget import ComputeBudget
 from repro.errors import GraphError
+from repro.memo import MISSING, BoundedLRU
 
 __all__ = [
     "DPBudget",
@@ -55,76 +54,18 @@ __all__ = [
 
 Run = tuple[int, int]
 
-_K = TypeVar("_K")
-_V = TypeVar("_V")
-
-
-class _Memo(Generic[_K, _V]):
-    """Tiny thread-safe LRU used for the module-level DP memos.
-
-    The DP results are pure functions of their (hashable) instance keys,
-    so a process-wide memo is sound; the lock makes it safe under the
-    assessment service's worker threads.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self._data: OrderedDict[_K, _V] = OrderedDict()
-        self._lock = threading.Lock()
-        self._maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: _K) -> _V | None:
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: _K, value: _V) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            if len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
 _ClassKey = tuple[tuple[Run, int], ...]
 _ProblemKey = tuple[tuple[int, ...], _ClassKey, int, int]
-_CountState = tuple[tuple[int, int], ...]
-_LayerKey = tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...], int, int]
-_LayerValue = tuple[tuple[tuple[_CountState, int], ...], int]
 
 #: Full-result memos: sweeping tolerances or re-running the strategy
-#: ladder hands the DP byte-identical instances over and over.  Keys
-#: include the DPBudget work bounds so a budget that *would* have raised
-#: GraphError still raises deterministically.
-_COUNT_MEMO: _Memo[_ProblemKey, int] = _Memo(maxsize=2048)
-_TOTALS_MEMO: _Memo[_ProblemKey, tuple[int, tuple[tuple[tuple[Run, int], int], ...]]] = _Memo(maxsize=512)
-
-#: Prefix-layer cache for :func:`assignment_count`: layer ``g`` (the
-#: state set after placing groups ``0..g-1``) is a pure function of the
-#: runs arriving before group ``g`` and of the capacities up to the
-#: deepest deadline those runs can reach (Hall pruning consults future
-#: capacity prefixes — hence the lookahead in the key).  Near-identical
-#: instances — a :func:`class_pin_counts` pin late in the segment, a
-#: tolerance step that only widens late runs — resume from the deepest
-#: shared layer instead of re-sweeping from group 0.
-_LAYER_MEMO: _Memo[_LayerKey, _LayerValue] = _Memo(maxsize=4096)
+#: ladder hands the DP byte-identical instances over and over.  The
+#: results are pure functions of their keys, so process-wide memos are
+#: sound.  Keys include the DPBudget work bounds so a budget that
+#: *would* have raised GraphError still raises deterministically.
+_COUNT_MEMO: BoundedLRU[_ProblemKey, int] = BoundedLRU(2048)
+_TOTALS_MEMO: BoundedLRU[_ProblemKey, tuple[int, tuple[tuple[tuple[Run, int], int], ...]]] = (
+    BoundedLRU(512)
+)
 
 
 def _problem_key(
@@ -134,40 +75,14 @@ def _problem_key(
     return (capacities, canonical, budget.max_states, budget.max_ops)
 
 
-def _layer_keys(
-    capacities: tuple[int, ...],
-    arrivals: list[list[tuple[int, int]]],
-    budget: DPBudget,
-) -> list[_LayerKey | None]:
-    """Cache key per DP layer (index = number of groups already placed)."""
-    k = len(capacities)
-    keys: list[_LayerKey | None] = [None] * (k + 1)
-    signature: list[tuple[int, int, int]] = []
-    deepest = 0
-    for g in range(1, k + 1):
-        for hi, count in sorted(arrivals[g - 1]):
-            signature.append((g - 1, hi, count))
-            deepest = max(deepest, hi)
-        depth = max(g, deepest)
-        keys[g] = (
-            g,
-            capacities[:depth],
-            tuple(signature),
-            budget.max_states,
-            budget.max_ops,
-        )
-    return keys
-
-
 def clear_dp_memo() -> None:
-    """Drop every memoized DP result and layer (tests, benchmarks)."""
+    """Drop every memoized DP result (tests, benchmarks)."""
     _COUNT_MEMO.clear()
     _TOTALS_MEMO.clear()
-    _LAYER_MEMO.clear()
 
 
 def dp_memo_stats() -> dict[str, int]:
-    """Hit/miss/size counters for the three DP memos."""
+    """Hit/miss/size counters for the two DP memos."""
     return {
         "count_hits": _COUNT_MEMO.hits,
         "count_misses": _COUNT_MEMO.misses,
@@ -175,9 +90,6 @@ def dp_memo_stats() -> dict[str, int]:
         "totals_hits": _TOTALS_MEMO.hits,
         "totals_misses": _TOTALS_MEMO.misses,
         "totals_size": len(_TOTALS_MEMO),
-        "layer_hits": _LAYER_MEMO.hits,
-        "layer_misses": _LAYER_MEMO.misses,
-        "layer_size": len(_LAYER_MEMO),
     }
 
 
@@ -308,7 +220,7 @@ def assignment_count(
 
     problem_key = _problem_key(capacities, classes, budget)
     memoized = _COUNT_MEMO.get(problem_key)
-    if memoized is not None:
+    if memoized is not MISSING:
         return memoized
 
     arrivals: list[list[tuple[int, int]]] = [[] for _ in range(k)]
@@ -323,19 +235,7 @@ def assignment_count(
     # State: tuple of (deadline, pending-count), sorted by deadline.
     states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
     ops = 0
-    start = 0
-    layer_keys = _layer_keys(capacities, arrivals, budget)
-    for g in range(k, 0, -1):
-        key = layer_keys[g]
-        cached = _LAYER_MEMO.get(key) if key is not None else None
-        if cached is not None:
-            # Resume the sweep from the deepest shared layer; the stored
-            # ops total keeps the work-budget accounting deterministic.
-            states = dict(cached[0])
-            ops = cached[1]
-            start = g
-            break
-    for g in range(start, k):
+    for g in range(k):
         if arrivals[g]:
             merged: dict[tuple[tuple[int, int], ...], int] = {}
             for state, ways in states.items():
@@ -381,11 +281,6 @@ def assignment_count(
                 "profiles) — runs too wide for exact counting; fall back "
                 "to the O-estimate or MCMC"
             )
-        key = layer_keys[g + 1]
-        if key is not None:
-            # A completed layer is a valid resume point even if a later
-            # group exhausts the budget, so store it unconditionally.
-            _LAYER_MEMO.put(key, (tuple(states.items()), ops))
         if not states:
             result = 0
             break
@@ -461,7 +356,7 @@ def class_placement_totals(
 
     problem_key = _problem_key(capacities, classes, budget)
     memoized = _TOTALS_MEMO.get(problem_key)
-    if memoized is not None:
+    if memoized is not MISSING:
         # Fresh dict per caller: the memo must survive caller mutation.
         return memoized[0], dict(memoized[1])
 

@@ -37,18 +37,23 @@ from repro.simulation.exact import EXACT_COST_BUDGET
 __all__ = ["AttackSummary", "Decision", "RecipeStages", "RiskAssessment", "assess_risk"]
 
 
-def _try_exact_interval(
+def _exact_marginals(
     space: FrequencyMappingSpace,
-    interest: frozenset | None,
     budget: ComputeBudget | None = None,
-) -> tuple[float | None, str | None]:
-    """Exact interval-rung expected cracks, or (None, None) to fall back."""
+) -> tuple[np.ndarray | None, str | None]:
+    """Exact per-item crack marginals and the strategy, or ``(None, None)``.
+
+    ``(None, None)`` means the exact engine has no cheap plan (or the
+    budget ran out) and the interval rung falls back to the O-estimate
+    alone.  The marginals do not depend on the interest subset, so one
+    result serves every subset (:func:`_exact_cracks`).
+    """
     from repro.graph.exact import crack_marginals_exact, exact_strategy
     from repro.graph.intervaldp import DEFAULT_BUDGET, DPBudget
 
     plan = exact_strategy(space)
     if not plan.matchable:
-        return 0.0, plan.strategy
+        return np.zeros(space.n), plan.strategy
     if not plan.feasible or plan.cost_hint > EXACT_COST_BUDGET:
         return None, None
     dp_budget = (
@@ -61,7 +66,7 @@ def _try_exact_interval(
         )
     )
     try:
-        marginals = crack_marginals_exact(space, budget=dp_budget)
+        return crack_marginals_exact(space, budget=dp_budget), plan.strategy
     except BudgetExceeded:
         # Deadline hit inside the exact refinement: it is an optional
         # enrichment of the interval rung, so degrade to the O-estimate
@@ -69,10 +74,20 @@ def _try_exact_interval(
         return None, None
     except (GraphError, InfeasibleMatchingError):
         return None, None
+
+
+def _exact_cracks(
+    space: FrequencyMappingSpace,
+    marginals: np.ndarray | None,
+    interest: frozenset | None,
+) -> float | None:
+    """Exact expected cracks among *interest* (every item when ``None``)."""
+    if marginals is None:
+        return None
     if interest is None:
-        return float(marginals.sum()), plan.strategy
+        return float(marginals.sum())
     indices = [space.item_index(x) for x in interest]
-    return float(marginals[indices].sum()), plan.strategy
+    return float(marginals[indices].sum())
 
 
 @dataclass(frozen=True)
@@ -295,13 +310,10 @@ class RecipeStages:
         return o_estimate(space, interest=interest)
 
     def exact(
-        self,
-        space: FrequencyMappingSpace,
-        interest: frozenset | None,
-        budget: ComputeBudget | None,
-    ) -> tuple[float | None, str | None]:
-        """Exact expected cracks and the strategy used, or ``(None, None)``."""
-        return _try_exact_interval(space, interest, budget)
+        self, space: FrequencyMappingSpace, budget: ComputeBudget | None
+    ) -> tuple[np.ndarray | None, str | None]:
+        """Exact per-item crack marginals and the strategy, or ``(None, None)``."""
+        return _exact_marginals(space, budget)
 
     def attack(
         self, space: FrequencyMappingSpace, budget: ComputeBudget | None
@@ -414,7 +426,8 @@ def assess_risk(
     if budget is not None:
         budget.poll()
     estimate = stages.o_estimate(space, interest)
-    exact_cracks, exact_strategy_name = stages.exact(space, interest, budget)
+    marginals, exact_strategy_name = stages.exact(space, budget)
+    exact_cracks = _exact_cracks(space, marginals, interest)
     attack = stages.attack(space, budget)
     if estimate.value <= tolerance * basis:
         return RiskAssessment(

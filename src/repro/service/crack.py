@@ -26,7 +26,6 @@ running summary, and ``closed`` once a ``{"kind": "close"}`` arrives
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Any, Mapping, Sequence
 
 from repro.attack.solver import ConsistencySolver, Observation, solver_from_space
@@ -35,6 +34,7 @@ from repro.budget import ComputeBudget
 from repro.errors import SolverError
 from repro.graph.bipartite import space_from_frequencies
 from repro.io import profile_from_json
+from repro.memo import MISSING, BoundedLRU
 
 __all__ = ["CrackSessionStore", "solver_from_instance"]
 
@@ -109,9 +109,8 @@ class CrackSessionStore:
     """The live solver sessions behind ``POST /crack/step``."""
 
     def __init__(self, max_sessions: int = DEFAULT_MAX_SESSIONS) -> None:
-        self.max_sessions = max_sessions
-        self._lock = threading.Lock()
-        self._sessions: OrderedDict[str, _Session] = OrderedDict()
+        self._sessions: BoundedLRU[str, _Session] = BoundedLRU(max_sessions)
+        self._lock = threading.Lock()  # the id counter and the table, as one
         self._counter = 0
 
     def __len__(self) -> int:
@@ -123,23 +122,19 @@ class CrackSessionStore:
         with self._lock:
             self._counter += 1
             session_id = f"crack-{self._counter}"
-            self._sessions[session_id] = session
-            # repro-lint: disable-next-line=FS005 -- eviction pops at most len-cap sessions, each O(1); no budget applies to table upkeep
-            while len(self._sessions) > self.max_sessions:
-                self._sessions.popitem(last=False)
+            self._sessions.put(session_id, session)
         return session_id, session
 
     def _resume(self, session_id: str) -> _Session:
         with self._lock:
             session = self._sessions.get(session_id)
-            if session is None:
-                raise SolverError(f"unknown or expired crack session {session_id!r}")
-            self._sessions.move_to_end(session_id)
-            return session
+        if session is MISSING:
+            raise SolverError(f"unknown or expired crack session {session_id!r}")
+        return session
 
     def _retire(self, session_id: str) -> None:
         with self._lock:
-            self._sessions.pop(session_id, None)
+            self._sessions.pop(session_id)
 
     def step(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Answer one ``/crack/step`` request (see the module docstring).

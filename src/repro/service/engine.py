@@ -8,12 +8,14 @@ recipe.  The :class:`AssessmentEngine` wraps it in what a server needs:
   question is a dictionary lookup (plus an optional disk tier, see
   :class:`~repro.service.cache.AssessmentCache`).
 * **Shared intermediates** — the engine hands the recipe a
-  :class:`~repro.recipe.assess.RecipeStages` subclass that memoizes the
-  :class:`FrequencyGroups` per profile, the belief + bipartite
-  :class:`MappingSpace` per ``(profile, delta)``, and the exact and
-  attack results derived from that space, so a tolerance sweep over one
-  release, or a batch of requests against the same data, builds them
-  once.  Each stage that computes is timed as ``stage:<name>``.
+  :class:`~repro.recipe.assess.RecipeStages` subclass backed by two
+  :class:`~repro.memo.BoundedLRU` memos: the :class:`FrequencyGroups`
+  per profile, and one entry per ``(profile, delta)`` holding the
+  belief + bipartite :class:`MappingSpace` with the exact marginals and
+  attack summary derived from it.  A tolerance sweep over one release,
+  or a batch of requests against the same data with any interest
+  subsets, builds them once.  Each stage that computes is timed as
+  ``stage:<name>``.
 * **Deterministic randomness** — the alpha stage's RNG is seeded from
   the request fingerprint (:func:`~repro.service.fingerprint.derived_seed`),
   so the same question yields byte-identical JSON whether it runs
@@ -27,11 +29,9 @@ recipe.  The :class:`AssessmentEngine` wraps it in what a server needs:
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Generic, Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.data.database import FrequencyProfile, FrequencySource, as_profile
 from repro.data.frequency import FrequencyGroups
 from repro.errors import ReproError
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
+from repro.memo import MISSING, BoundedLRU, Missing
 from repro.recipe.assess import AttackSummary, RecipeStages, RiskAssessment, assess_risk
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import AssessmentCache
@@ -89,31 +90,24 @@ class BatchResult:
         return self.assessment is not None
 
 
-_K = TypeVar("_K")
-_V = TypeVar("_V")
+#: Memo bounds: frequency groups per profile, and ``(profile, delta)``
+#: entries (space, exact marginals, attack summary).
+_MAX_PROFILES = 16
+_MAX_SPACES = 8
 
 
-class _LRU(Generic[_K, _V]):
-    """A tiny bounded mapping for memoized intermediates (thread-safe)."""
+@dataclass(eq=False)
+class _SpaceEntry:
+    """One ``(profile, delta)``'s space and the stage results derived from it.
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._data: OrderedDict[_K, _V] = OrderedDict()
+    A stage result is :data:`~repro.memo.MISSING` until a request stores
+    it.  A stored result may carry ``None`` (no cheap exact plan, a
+    skipped attack summary): that is a property of the space, not a miss.
+    """
 
-    def get(self, key: _K) -> _V | None:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key: _K, value: _V) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
+    space: FrequencyMappingSpace
+    exact: tuple[np.ndarray | None, str | None] | Missing = MISSING
+    attack: AttackSummary | None | Missing = MISSING
 
 
 def _fingerprints(
@@ -147,10 +141,6 @@ class AssessmentEngine:
         :class:`AssessmentCache`.
     metrics:
         Shared :class:`ServiceMetrics`; defaults to a private instance.
-    max_profiles, max_spaces:
-        Bounds on the memoized intermediates (frequency groups per
-        profile; belief/space per ``(profile, delta)``; the exact and
-        attack results each keep ``4 * max_spaces``).
     breaker:
         Circuit breaker guarding the serial compute path; defaults to a
         fresh :class:`~repro.service.breaker.CircuitBreaker` sharing the
@@ -162,8 +152,6 @@ class AssessmentEngine:
         self,
         cache: AssessmentCache | None = None,
         metrics: ServiceMetrics | None = None,
-        max_profiles: int = 16,
-        max_spaces: int = 8,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.cache = AssessmentCache() if cache is None else cache
@@ -171,16 +159,10 @@ class AssessmentEngine:
         self.breaker = (
             CircuitBreaker(metrics=self.metrics) if breaker is None else breaker
         )
-        self._profiles: _LRU[str, tuple[dict[Any, float], FrequencyGroups]] = _LRU(
-            max_profiles
+        self._profiles: BoundedLRU[str, tuple[dict[Any, float], FrequencyGroups]] = (
+            BoundedLRU(_MAX_PROFILES)
         )
-        self._spaces: _LRU[tuple[str, float], FrequencyMappingSpace] = _LRU(max_spaces)
-        self._exact: _LRU[
-            tuple[str, float, frozenset[Any] | None], tuple[float | None, str | None]
-        ] = _LRU(max_spaces * 4)
-        self._attacks: _LRU[tuple[str, float], AttackSummary | None] = _LRU(
-            max_spaces * 4
-        )
+        self._spaces: BoundedLRU[tuple[str, float], _SpaceEntry] = BoundedLRU(_MAX_SPACES)
 
     # -- single requests --------------------------------------------------
 
@@ -537,23 +519,24 @@ class AssessmentEngine:
 class _EngineStages(RecipeStages):
     """One request's stages: memoized in its engine, timed when computed.
 
-    Groups are keyed by the profile hash, the space and the attack
-    summary by ``(hash, delta)``, exact results by ``(hash, delta,
-    interest)``.  ``stage:groups``/``space``/``exact``/``attack`` time a
-    memo miss; ``stage:oestimate`` and ``stage:alpha`` time every call.
-    The stages call this module's names (``FrequencyGroups``,
-    ``o_estimate``, ...), so a tracer that wraps them sees every stage.
+    Groups are keyed by the profile hash; the space, the exact marginals
+    and the attack summary share one entry keyed by ``(hash, delta)``,
+    which the recipe's first :meth:`space` call pins for the request.
+    ``stage:groups``/``space``/``exact``/``attack`` time a memo miss;
+    ``stage:oestimate`` and ``stage:alpha`` time every call.  The stages
+    call this module's names (``FrequencyGroups``, ``o_estimate``, ...),
+    so a tracer that wraps them sees every stage.
     """
 
     def __init__(self, engine: AssessmentEngine, profile_hash: str) -> None:
         self._engine = engine
         self._metrics = engine.metrics
         self._hash = profile_hash
-        self._delta = 0.0  # set by space(), which the recipe calls first
+        self._entry: _SpaceEntry | None = None  # set by space()
 
     def groups(self, source: FrequencySource) -> tuple[dict[Any, float], FrequencyGroups]:
         state = self._engine._profiles.get(self._hash)
-        if state is None:
+        if state is MISSING:
             with self._metrics.timer("stage:groups"):
                 frequencies = source.frequencies()
                 state = (frequencies, FrequencyGroups(frequencies))
@@ -561,15 +544,15 @@ class _EngineStages(RecipeStages):
         return state
 
     def space(self, frequencies: dict[Any, float], delta: float) -> FrequencyMappingSpace:
-        self._delta = delta
         key = (self._hash, delta)
-        space = self._engine._spaces.get(key)
-        if space is None:
+        entry = self._engine._spaces.get(key)
+        if entry is MISSING:
             with self._metrics.timer("stage:space"):
                 belief = uniform_width_belief(frequencies, delta)
-                space = space_from_frequencies(belief, frequencies)
-            self._engine._spaces.put(key, space)
-        return space
+                entry = _SpaceEntry(space_from_frequencies(belief, frequencies))
+            self._engine._spaces.put(key, entry)
+        self._entry = entry
+        return entry.space
 
     def o_estimate(
         self, space: FrequencyMappingSpace, interest: frozenset[Any] | None
@@ -578,23 +561,21 @@ class _EngineStages(RecipeStages):
             return o_estimate(space, interest=interest)
 
     def exact(
-        self,
-        space: FrequencyMappingSpace,
-        interest: frozenset[Any] | None,
-        budget: ComputeBudget | None,
-    ) -> tuple[float | None, str | None]:
-        key = (self._hash, self._delta, interest)
-        state = self._engine._exact.get(key)
-        if state is not None:
+        self, space: FrequencyMappingSpace, budget: ComputeBudget | None
+    ) -> tuple[np.ndarray | None, str | None]:
+        entry = self._entry
+        assert entry is not None  # the recipe asks for the space first
+        state = entry.exact
+        if state is not MISSING:
             self._metrics.increment("exact_memo_hits")
         else:
             with self._metrics.timer("stage:exact"):
-                state = super().exact(space, interest, budget)
+                state = super().exact(space, budget)
             # A (None, None) under a deadline may be budget-caused, not a
             # property of the instance — only memoize what a budget-free
             # run would also have produced.
             if budget is None or state[1] is not None:
-                self._engine._exact.put(key, state)
+                entry.exact = state
         strategy = state[1]
         if strategy is not None:
             self._metrics.increment("exact_served")
@@ -606,15 +587,16 @@ class _EngineStages(RecipeStages):
     def attack(
         self, space: FrequencyMappingSpace, budget: ComputeBudget | None
     ) -> AttackSummary | None:
-        key = (self._hash, self._delta)
-        attack = self._engine._attacks.get(key)
-        if attack is None:
-            with self._metrics.timer("stage:attack"):
-                attack = super().attack(space, budget)
-            if budget is None or attack is not None:
-                self._engine._attacks.put(key, attack)
-        else:
+        entry = self._entry
+        assert entry is not None  # the recipe asks for the space first
+        attack = entry.attack
+        if attack is not MISSING:
             self._metrics.increment("attack_memo_hits")
+            return attack
+        with self._metrics.timer("stage:attack"):
+            attack = super().attack(space, budget)
+        if budget is None or attack is not None:
+            entry.attack = attack
         return attack
 
     def alpha(

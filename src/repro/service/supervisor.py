@@ -119,6 +119,13 @@ def backoff_delay(
     return base * (1.0 + policy.jitter_fraction * rng.random())
 
 
+def _close_stdout(process: SupervisedProcess) -> None:
+    """Close a finished replica's stdout pipe (launchers may give it one)."""
+    stdout = getattr(process, "stdout", None)
+    if stdout is not None:
+        stdout.close()
+
+
 @dataclass
 class _ReplicaState:
     index: int
@@ -212,9 +219,7 @@ class ReplicaSupervisor:
                     process.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
                     pass
-                stdout = getattr(process, "stdout", None)
-                if stdout is not None:
-                    stdout.close()
+                _close_stdout(process)
                 return
             state.process = process
             state.port = port
@@ -289,6 +294,8 @@ class ReplicaSupervisor:
 
     def _record_death(self, state: _ReplicaState, now: float, returncode: int) -> None:
         """Called under the lock when a running replica is found dead."""
+        if state.process is not None:
+            _close_stdout(state.process)  # nothing reads a dead banner pipe
         state.last_returncode = returncode
         state.deaths += 1
         state.consecutive_failures += 1
@@ -462,9 +469,7 @@ class ReplicaSupervisor:
                 process.kill()
                 self.metrics.increment("sigkill_escalations")
                 process.wait(timeout=5.0)
-            stdout = getattr(process, "stdout", None)
-            if stdout is not None:
-                stdout.close()
+            _close_stdout(process)
             with self._lock:
                 state.status = "stopped"
                 state.process = None

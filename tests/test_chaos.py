@@ -11,7 +11,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import errno
+import io
 import json
+import logging
 import os
 import subprocess
 import time
@@ -304,6 +306,7 @@ class FakeProcess:
         self.returncode: int | None = None
         self.signals: list[int] = []
         self.ignores_sigterm = ignores_sigterm
+        self.stdout = io.StringIO()  # stands in for the banner pipe
 
     def poll(self) -> int | None:
         return self.returncode
@@ -408,6 +411,22 @@ class TestSupervisorRestarts:
         assert launched[1][3] == 7000 and supervisor.ports == [7000]
         assert state.last_returncode == -9
         supervisor.stop(grace_seconds=0.01)
+
+    def test_dead_incarnation_stdout_closed_on_restart(self):
+        supervisor, clock, launched = _fake_fleet(policy=self.POLICY)
+        supervisor.start()
+        first = launched[0][0]
+        first.kill()
+        clock.now = 1.0
+        supervisor.tick()  # death recorded, restart scheduled
+        clock.now = 10.0
+        supervisor.tick()  # relaunched
+        assert supervisor._replicas[0].incarnation == 2
+        assert first.stdout.closed
+        second = launched[1][0]
+        assert not second.stdout.closed
+        supervisor.stop(grace_seconds=0.01)
+        assert second.stdout.closed
 
     def test_crash_loop_detection_gives_up_with_report(self):
         supervisor, clock, launched = _fake_fleet(policy=self.POLICY)
@@ -642,14 +661,17 @@ class TestVerifier:
 
 
 class TestDriveConnectionReconnect:
-    def test_dropped_connection_resends_same_request(self):
+    def test_dropped_connection_resends_same_request(self, caplog):
         received: list[bytes] = []
         connection_count = 0
+        handlers_done: list[asyncio.Event] = []
 
         async def handler(reader, writer):
             nonlocal connection_count
             connection = connection_count
             connection_count += 1
+            done = asyncio.Event()
+            handlers_done.append(done)
             try:
                 while True:
                     head = await reader.readuntil(b"\r\n\r\n")
@@ -675,6 +697,7 @@ class TestDriveConnectionReconnect:
                 writer.close()
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
+                done.set()
 
         stats = _ClientStats()
         payloads = [b'{"n": 0}', b'{"n": 1}', b'{"n": 2}']
@@ -692,8 +715,17 @@ class TestDriveConnectionReconnect:
                     max_requests=3,
                     stats=stats,
                 )
+                # The client has closed its end: let each stub handler
+                # finish before the server (and the loop) shuts down,
+                # so none is cancelled mid-close.
+                await asyncio.wait_for(
+                    asyncio.gather(*(done.wait() for done in handlers_done)),
+                    timeout=5.0,
+                )
 
-        asyncio.run(run())
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(run())
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
         assert stats.statuses == {200: 3}  # every request eventually answered
         assert stats.reconnects == 1 and stats.errors == 1
         # the unanswered request was re-sent verbatim on the new connection

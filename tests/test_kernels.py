@@ -6,14 +6,18 @@ Pins the contract of this change set:
   to the pure-Python exact-int reference on every matrix class they
   accept (random integral, zero blocks, negative, astronomically large);
 * budgets cancel the chunked walk cooperatively mid-chunk;
-* the interval-DP memo layer never changes a result, and
-  ``sweep_tolerance`` is byte-identical with and without it;
+* the interval-DP memos never change a result, and
+  ``sweep_tolerance`` is byte-identical with and without them; the
+  :class:`~repro.memo.BoundedLRU` behind them evicts, counts and stores
+  ``None`` as specified;
 * the three permanent-path bugfixes (dead ``_ryser`` dispatcher,
   cap-gated block splitting, deadline-oblivious retry backoff) stay
   fixed.
 """
 
 import importlib
+import sys
+import threading
 import time
 
 import numpy as np
@@ -28,7 +32,6 @@ from repro.errors import BudgetExceeded, GraphError
 from repro.graph.intervaldp import (
     DPBudget,
     assignment_count,
-    class_pin_counts,
     class_placement_totals,
     clear_dp_memo,
     dp_memo_stats,
@@ -41,6 +44,7 @@ from repro.graph.kernels import (
 )
 from repro.graph.permanent import permanent
 from repro.io import assessment_to_json
+from repro.memo import MISSING, BoundedLRU
 from repro.service.engine import AssessmentEngine
 
 
@@ -250,21 +254,6 @@ class TestDPMemo:
         assert total2 == total
         assert placements2[((0, 2), 0)] != -1
 
-    def test_layer_prefix_reused_across_pins(self):
-        # class_pin_counts perturbs capacities/classes late in the
-        # segment; the early DP layers must come from the prefix cache.
-        capacities = tuple([3] * 10)
-        classes = {(g, min(g + 2, 10)): 3 for g in range(0, 10, 1)}
-        classes = {k: v for k, v in classes.items() if k[0] < k[1]}
-        assignment_count(capacities, classes)
-        before = dp_memo_stats()["layer_hits"]
-        pins = [((8, 10), 8), ((8, 10), 9)]
-        pinned = class_pin_counts(capacities, classes, pins)
-        after = dp_memo_stats()["layer_hits"]
-        assert after > before
-        clear_dp_memo()
-        assert class_pin_counts(capacities, classes, pins) == pinned
-
     def test_memo_keyed_on_budget_bounds(self):
         # A generous run must not let a tiny op budget succeed later.
         capacities = (3, 3, 3, 3)
@@ -292,6 +281,56 @@ class TestDPMemo:
             clear_dp_memo()
             again = assignment_count(capacities, classes)
             assert cold == warm == again
+
+    def test_lru_evicts_the_least_recently_used(self):
+        memo: BoundedLRU[str, int] = BoundedLRU(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1  # "a" is now the most recent
+        memo.put("c", 3)
+        assert memo.get("b") is MISSING
+        assert (memo.get("a"), memo.get("c"), len(memo)) == (1, 3, 2)
+
+    def test_lru_stored_none_is_a_hit(self):
+        memo: BoundedLRU[str, None] = BoundedLRU(4)
+        memo.put("skipped", None)
+        assert memo.get("skipped") is None
+        assert memo.get("absent") is MISSING
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_lru_pop_and_clear(self):
+        memo: BoundedLRU[str, int] = BoundedLRU(4)
+        memo.put("a", 1)
+        memo.get("a")
+        assert memo.pop("a") == 1
+        assert memo.pop("a") is MISSING
+        memo.put("b", 2)
+        memo.clear()
+        assert (len(memo), memo.hits, memo.misses) == (0, 0, 0)
+
+    def test_lru_counters_and_bound_hold_under_threads(self):
+        memo: BoundedLRU[int, int] = BoundedLRU(8)
+        workers, rounds = 8, 2000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def work(seed: int) -> None:
+                for step in range(rounds):
+                    key = (seed * 7 + step) % 16
+                    if memo.get(key) is MISSING:
+                        memo.put(key, step)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert memo.hits + memo.misses == workers * rounds
+        assert len(memo) <= 8
 
 
 def _sweep_profile(n: int = 60, n_groups: int = 12) -> FrequencyProfile:

@@ -55,6 +55,8 @@ CASES = {
     "interval": (_release, 0.1, {}),
     "alpha": (_release, 0.05, {"runs": 3}),
     "interest": (_release, 0.05, {"runs": 3, "interest": range(10)}),
+    "interest-odd": (_release, 0.05, {"runs": 3, "interest": range(1, 60, 2)}),
+    "interest-tail": (_release, 0.05, {"runs": 3, "interest": range(36, 60)}),
     "inconclusive": (_release, 0.05, {"runs": 3, "budget": 2}),
     "database": (_database, 0.05, {"runs": 3}),
 }
@@ -77,6 +79,14 @@ DIGESTS = {
         "interest": (
             "bed38e683511b3e6cae370a238061ac3"
             "5475f917726fad793e8c093b86f1efc6"
+        ),
+        "interest-odd": (
+            "6010a74fc97aa99f56323dc8ac7bc1eb"
+            "f5dee736ecc9684a96ff6151ecdf22d6"
+        ),
+        "interest-tail": (
+            "ec2ad906c7269708db22dfd6db3d2caf"
+            "925f15a3cc18d3d3d54c1075d899b154"
         ),
         "inconclusive": (
             "482bbabcc30b77e3e7e473ea189080aa"
@@ -103,6 +113,14 @@ DIGESTS = {
         "interest": (
             "9ff92d07c1db894169a1d440d722501c"
             "04a5c45dafe175c48bcfcf0c6f14d1f2"
+        ),
+        "interest-odd": (
+            "10934112381f1d3e1670629c69f54849"
+            "589968ccbdaaa007ae34bf7d4e056076"
+        ),
+        "interest-tail": (
+            "faa24a90b19014e18b9f7231adc0479a"
+            "9083890fb8b16c5ecb25e4ad86129208"
         ),
         "inconclusive": (
             "482bbabcc30b77e3e7e473ea189080aa"
@@ -145,6 +163,21 @@ class TestPinnedDigests:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_digest_unchanged(self, route, name):
         assert _digest(_run(route, name)) == DIGESTS[route][name]
+
+    def test_interest_subsets_share_one_memoized_space(self):
+        # Two subsets, then none, on one release at one tolerance: one
+        # space and one exact run serve all three, and each answer is
+        # the fresh engine's pinned one.
+        engine = AssessmentEngine()
+        for name in ("interest-odd", "interest-tail", "alpha"):
+            factory, tolerance, kwargs = CASES[name]
+            answer = engine.assess(factory(), tolerance, seed=0, **kwargs).assessment
+            assert answer.exact_cracks is not None, name
+            assert _digest(answer) == DIGESTS["engine"][name], name
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["timers"]["stage:space"]["count"] == 1
+        assert snapshot["timers"]["stage:exact"]["count"] == 1
+        assert snapshot["counters"]["exact_memo_hits"] == 2
 
     def test_cases_cover_every_decision(self):
         decisions = {_run("engine", name).decision.name for name in CASES}
@@ -192,6 +225,17 @@ class TestEngineStageCounters:
         assert timers["stage:oestimate"]["count"] == 4
         assert counters["exact_memo_hits"] == counters["attack_memo_hits"] == 3
         assert counters["computed"] == 4
+
+    def test_skipped_attack_summary_is_memoized(self, monkeypatch):
+        # Too few edges allowed: classification raises GraphError and
+        # the summary is skipped, a property of the space worth keeping.
+        monkeypatch.setattr("repro.recipe.assess.ATTACK_SUMMARY_MAX_EDGES", 1)
+        engine = AssessmentEngine()
+        outcomes = engine.sweep_tolerance(_release(), [0.1, 0.15], runs=3)
+        assert all(outcome.assessment.attack is None for outcome in outcomes)
+        snapshot = engine.metrics.snapshot()
+        assert snapshot["timers"]["stage:attack"]["count"] == 1
+        assert snapshot["counters"]["attack_memo_hits"] == 1
 
 
 class TestDeadlineCutAnswersStayUncached:

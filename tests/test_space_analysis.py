@@ -35,7 +35,7 @@ from repro.graph.blocks import _decompose_frequency, decompose
 from repro.graph.exact import _frequency_block_problem, crack_marginals_exact, exact_strategy
 from repro.graph.groups import BeliefGroupPartition, FrequencyAnalysis, ObservedGroups
 from repro.graph.intervaldp import class_placement_totals
-from repro.recipe.assess import AttackSummary, _attack_summary, _try_exact_interval
+from repro.recipe.assess import AttackSummary, _attack_summary, _exact_cracks, _exact_marginals
 
 
 @st.composite
@@ -370,5 +370,6 @@ class TestServedValues:
     @pytest.mark.parametrize("name, seed", sorted(PINNED))
     def test_pinned(self, name, seed):
         space = recipe_space(name, seed)
-        exact_cracks, strategy = _try_exact_interval(space, None)
+        marginals, strategy = _exact_marginals(space)
+        exact_cracks = _exact_cracks(space, marginals, None)
         assert (exact_cracks, strategy, _attack_summary(space)) == self.PINNED[(name, seed)]
