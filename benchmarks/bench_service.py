@@ -1,13 +1,8 @@
-"""Service-layer benchmarks: cache speedup, sweep reuse, batch scaling.
+"""Service-layer benchmarks: cache speedup, sweep reuse, hot-path costs.
 
-Acceptance measurements for the service layer:
-
-* warm (cached) ``assess()`` on a repeated (profile, params) pair must
-  be >= 10x faster than the cold computation;
-* ``assess_many()`` with 4 workers must beat 1 worker on an 8-dataset
-  batch **when more than one CPU is available** (on a single-CPU host
-  the comparison is reported but the speedup is not asserted), while
-  producing byte-identical JSON results either way.
+Acceptance measurements for the service layer, among them: warm
+(cached) ``assess()`` on a repeated (profile, params) pair must be
+>= 10x faster than the cold computation.
 
 Run with::
 
@@ -18,7 +13,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import statistics
 import threading
 import time
@@ -26,42 +20,15 @@ import time
 import pytest
 
 from repro.datasets import load_benchmark
-from repro.io import assessment_to_json, profile_from_json, profile_to_json
+from repro.io import profile_from_json, profile_to_json
 from repro.recipe import assess_risk
 from repro.service import (
     AssessmentCache,
     AssessmentEngine,
-    AssessmentParams,
     profile_fingerprint,
 )
 from repro.service.faults import fault_point
 from repro.service.routes import _gc_paused
-
-BATCH_BENCHMARKS = ("retail", "pumsb", "accidents", "connect")
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _batch_requests():
-    """8 distinct heavy questions over the four largest benchmarks."""
-    requests = []
-    for round_index in range(2):
-        for name in BATCH_BENCHMARKS:
-            profile = load_benchmark(name).profile
-            requests.append(
-                (
-                    profile,
-                    AssessmentParams(
-                        tolerance=0.01 + 0.02 * round_index, runs=25
-                    ),
-                )
-            )
-    return requests
 
 
 def test_service_cold_vs_warm(report):
@@ -124,52 +91,6 @@ def test_service_sweep_reuses_space(report):
     )
     assert spaces_built == 1
     assert sweep_seconds < naive_seconds
-
-
-def test_service_batch_throughput(report):
-    """4-worker assess_many() vs 1 worker on an 8-dataset batch."""
-    cpus = _available_cpus()
-    requests = _batch_requests()
-    assert len(requests) >= 8
-
-    start = time.perf_counter()
-    serial = AssessmentEngine().assess_many(requests, workers=1)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = AssessmentEngine().assess_many(requests, workers=4)
-    parallel_seconds = time.perf_counter() - start
-
-    assert all(result.ok for result in serial)
-    serial_json = [
-        json.dumps(assessment_to_json(result.assessment), sort_keys=True)
-        for result in serial
-    ]
-    parallel_json = [
-        json.dumps(assessment_to_json(result.assessment), sort_keys=True)
-        for result in parallel
-    ]
-    assert serial_json == parallel_json
-
-    lines = [
-        f"batch of {len(requests)} datasets ({', '.join(BATCH_BENCHMARKS)} x 2)",
-        f"available CPUs: {cpus}",
-        f"1 worker:  {serial_seconds:7.3f} s "
-        f"({len(requests) / serial_seconds:6.2f} assessments/s)",
-        f"4 workers: {parallel_seconds:7.3f} s "
-        f"({len(requests) / parallel_seconds:6.2f} assessments/s)",
-        "results: byte-identical JSON across pool sizes",
-    ]
-    if cpus >= 2:
-        lines.append(f"speedup: {serial_seconds / parallel_seconds:.2f}x")
-        report("service_batch_throughput", lines)
-        assert parallel_seconds < serial_seconds
-    else:
-        lines.append(
-            "single-CPU host: speedup not asserted (pool cannot beat serial "
-            "without a second core)"
-        )
-        report("service_batch_throughput", lines)
 
 
 def test_service_fault_point_overhead(report):

@@ -47,7 +47,6 @@ DEFAULT_ENTRY_POINTS = (
     "repro.recipe.assess.assess_risk",
     "repro.service.routes.ServiceCore.dispatch",
     "repro.service.engine.AssessmentEngine.assess_many",
-    "repro.service.pool.run_batch",
     "repro.attack.solver.core.ConsistencySolver.bootstrap",
     "repro.attack.solver.core.ConsistencySolver.ingest",
 )

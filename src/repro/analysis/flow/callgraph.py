@@ -337,9 +337,8 @@ class _Resolver:
             isinstance(func, ast.Attribute)
             and func.attr == "Thread"
         )
-        # ``executor.submit`` is deliberately NOT a spawn site: the only
-        # submit in the tree targets a ProcessPoolExecutor, and a worker
-        # *process* shares no memory with the server threads.
+        # ``executor.submit`` is not a spawn site: the tree has no
+        # executor ``submit`` call, only ``run_in_executor``.
         is_executor = isinstance(func, ast.Attribute) and func.attr == "run_in_executor"
         targets: list[ast.expr] = []
         if is_thread:

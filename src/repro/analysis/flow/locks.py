@@ -40,8 +40,9 @@ from repro.analysis.lint.engine import FileContext
 
 __all__ = ["FieldAccess", "RaceReport", "LockAnalysis"]
 
-#: threading factory names whose product is a synchronization object
-#: (not shared *data* — excluded from the shared-field universe).
+#: Factory names whose product is a synchronization object, or a
+#: container that locks every call itself (``repro.memo.BoundedLRU``):
+#: not shared *data* — excluded from the shared-field universe.
 _SYNC_FACTORIES = frozenset(
     {
         "Lock",
@@ -52,6 +53,7 @@ _SYNC_FACTORIES = frozenset(
         "BoundedSemaphore",
         "Barrier",
         "local",
+        "BoundedLRU",
     }
 )
 

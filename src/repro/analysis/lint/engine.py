@@ -87,7 +87,6 @@ DETERMINISM_MODULES = frozenset(
         "repro.service.fingerprint",
         "repro.service.cache",
         "repro.service.engine",
-        "repro.service.pool",
         "repro.service.crack",
         "repro.io",
         "repro.attack.solver.events",

@@ -1,8 +1,8 @@
 """Determinism rules: fingerprints and cache artifacts must be replayable.
 
 The service layer's contract (PRs 1-2) is that equal fingerprints mean
-byte-identical results, whether a request runs inline, through one
-worker or fanned out across four.  That breaks the moment the modules in
+byte-identical results, whether a request arrives over HTTP, in a
+batch or at another replica.  That breaks the moment the modules in
 :data:`~repro.analysis.lint.engine.DETERMINISM_MODULES` read wall-clock
 time, draw unseeded randomness, or let a ``set``'s iteration order reach
 a serialized payload.  ``time.perf_counter``/``time.monotonic`` stay

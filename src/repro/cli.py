@@ -3,9 +3,9 @@
 
 ``repro-assess`` runs the Assess-Risk recipe (Figure 8) on a calibrated
 benchmark or a FIMI ``.dat`` file, optionally followed by the
-Similarity-by-Sampling curve (Figure 13).  ``repro-batch`` fans a
-manifest of datasets out across the service layer's worker pool and
-writes JSON-lines results; ``repro-serve`` exposes the engine over HTTP.
+Similarity-by-Sampling curve (Figure 13).  ``repro-batch`` answers a
+manifest of datasets through the service engine and writes JSON-lines
+results; ``repro-serve`` exposes the engine over HTTP.
 ``repro-crack`` is the streaming attacker workbench: it loads a
 consistency-graph instance, reads JSONL observations (stdin, a file, or
 a file tailed with ``--watch``), and prints forced/forbidden events the
@@ -18,7 +18,7 @@ Examples::
     repro-assess --benchmark chess --stats --report risk.md
     repro-assess --benchmark connect --protect quantile
     repro-assess --benchmark mushroom --save-assessment decision.json
-    repro-batch manifest.json --workers 4 --output results.jsonl
+    repro-batch manifest.json --output results.jsonl
     repro-serve --port 8080 --cache-dir /var/cache/repro
     repro-serve --cache-dir /var/cache/repro --shared-cache
     repro-loadgen --connections 8,64
@@ -250,8 +250,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     """The ``repro-batch`` argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
         prog="repro-batch",
-        description="Assess a manifest of datasets in parallel through the "
-        "service layer, writing one JSON result line per dataset.",
+        description="Assess a manifest of datasets through the service "
+        "layer, writing one JSON result line per dataset.",
     )
     _add_version_flag(parser)
     parser.add_argument(
@@ -259,12 +259,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         help="JSON manifest: {\"defaults\": {params...}, \"datasets\": "
         "[{\"benchmark\"|\"fimi\": ..., \"name\": ..., params...}]} "
         "(see docs/service.md)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the assessment pool (default 1)",
     )
     parser.add_argument(
         "--output",
@@ -283,13 +277,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         help="retry transient per-job failures this many times (default 2)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock timeout for pool jobs (default: none)",
     )
     parser.add_argument(
         "--faults",
@@ -365,7 +352,7 @@ def _manifest_jobs(manifest: dict) -> list:
 
 
 def _result_record(name: str, result) -> dict:
-    """The JSON-lines record for one finished (ok or failed) pool job."""
+    """The JSON-lines record for one finished (ok or failed) batch slot."""
     record = {
         "name": name,
         "fingerprint": result.fingerprint,
@@ -426,14 +413,12 @@ def batch_main(argv: Sequence[str] | None = None) -> int:
         ]
 
         checkpoint_dir = None if args.checkpoint is None else Path(args.checkpoint)
-        fingerprints: dict[int, str] = {}
         resumed: dict[int, dict] = {}
         if checkpoint_dir is not None:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            for position, profile, params in runnable:
-                fingerprints[position] = request_fingerprint(profile, params)
             if args.resume:
-                for position, fingerprint in fingerprints.items():
+                for position, profile, params in runnable:
+                    fingerprint = request_fingerprint(profile, params)
                     record = _load_resumed_record(
                         checkpoint_dir / f"{fingerprint}.json", fingerprint
                     )
@@ -443,38 +428,19 @@ def batch_main(argv: Sequence[str] | None = None) -> int:
 
         by_position: dict[int, object] = {}
         with injected_faults(schedule) if schedule is not None else nullcontext():
-            if checkpoint_dir is None:
-                results = engine.assess_many(
-                    [(profile, params) for _, profile, params in pending],
-                    workers=args.workers,
-                    retries=args.retries,
-                    timeout_seconds=args.timeout,
+            # One slot at a time, each durably checkpointed (when asked)
+            # before the next starts, so an interrupt loses at most one.
+            for position, profile, params in pending:
+                [result] = engine.assess_many(
+                    [(profile, params)], retries=args.retries
                 )
-                for (position, _, _), result in zip(pending, results):
-                    by_position[position] = result
-            else:
-                # Chunked execution: each finished chunk is durably
-                # checkpointed before the next starts, so an interrupt
-                # loses at most one chunk of work.
-                chunk = max(args.workers, 1)
-                for start in range(0, len(pending), chunk):
-                    batch = pending[start : start + chunk]
-                    results = engine.assess_many(
-                        [(profile, params) for _, profile, params in batch],
-                        workers=args.workers,
-                        retries=args.retries,
-                        timeout_seconds=args.timeout,
+                by_position[position] = result
+                if checkpoint_dir is not None and result.ok:
+                    fault_point("checkpoint.write")
+                    save_json_atomic(
+                        _result_record(jobs[position][0], result),
+                        checkpoint_dir / f"{result.fingerprint}.json",
                     )
-                    for (position, _, _), result in zip(batch, results):
-                        by_position[position] = result
-                        if result.ok:
-                            name = jobs[position][0]
-                            fault_point("checkpoint.write")
-                            save_json_atomic(
-                                _result_record(name, result),
-                                checkpoint_dir
-                                / f"{fingerprints[position]}.json",
-                            )
         if resumed:
             print(
                 f"resumed {len(resumed)} job(s) from {checkpoint_dir}",
@@ -482,8 +448,7 @@ def batch_main(argv: Sequence[str] | None = None) -> int:
             )
         if schedule is not None:
             print(
-                f"fault injection: {len(schedule.events)} event(s) fired "
-                f"in this process (pool workers fire their own copies)",
+                f"fault injection: {len(schedule.events)} event(s) fired",
                 file=sys.stderr,
             )
     except (ReproError, OSError) as error:

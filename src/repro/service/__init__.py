@@ -1,7 +1,8 @@
 """The risk-assessment service layer.
 
-Turns the one-shot Assess-Risk recipe into a reusable, cache-backed,
-parallel engine with an HTTP front end:
+Turns the one-shot Assess-Risk recipe into a reusable, cache-backed
+engine with an HTTP front end; supervised replicas sharing one cache
+directory are its one multi-process path:
 
 * :mod:`repro.service.fingerprint` — content-addressed request hashes
   and fingerprint-derived deterministic seeds.
@@ -10,8 +11,6 @@ parallel engine with an HTTP front end:
 * :mod:`repro.service.engine` — :class:`AssessmentEngine` with
   ``assess``, ``assess_many`` and ``sweep_tolerance``, sharing the
   expensive recipe intermediates across requests.
-* :mod:`repro.service.pool` — process-pool fan-out with per-job error
-  capture and scheduling-independent results.
 * :mod:`repro.service.metrics` — counters, gauges and per-stage timers.
 * :mod:`repro.service.budget` — per-request compute budgets (deadline +
   sweep quotas) wired to fault injection; see :mod:`repro.budget` for
@@ -72,7 +71,6 @@ from repro.service.fingerprint import (
     request_fingerprint,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.pool import run_batch
 from repro.service.routes import RouteResponse, ServiceCore
 from repro.service.supervisor import (
     ReplicaSupervisor,
@@ -114,6 +112,5 @@ __all__ = [
     "load_schedule",
     "profile_fingerprint",
     "request_fingerprint",
-    "run_batch",
     "verify_run",
 ]

@@ -17,9 +17,9 @@ the classic three-state automaton:
   through; success closes the breaker, failure re-opens it for another
   cooldown.
 
-The breaker guards the *serial* compute path (HTTP handlers and serial
-batches); pool workers run in separate processes with their own retry
-discipline and are deliberately not covered.
+The breaker guards every compute of an
+:class:`~repro.service.engine.AssessmentEngine`: each HTTP request and
+each batch slot (with its retries inside) is one call.
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ class AssessmentCache:
     directory:
         When given, every ``put`` also writes ``<fingerprint>.json``
         under it, and a memory miss falls through to disk — so a fresh
-        process (or a pool worker) warm-starts from earlier runs.
+        process warm-starts from earlier runs.
     shared:
         Treat *directory* as a shared tier mounted by several replica
         processes: cold computations are single-flighted **across

@@ -93,8 +93,8 @@ class _Session:
     :class:`~repro.attack.solver.ConsistencySolver` is single-threaded
     by design; two ``/crack/step`` requests naming the same session can
     race on every piece of solver state (``_step``, the adjacency
-    restriction, the emitted-event dedup sets).  The store lock only
-    guards the session *table* — this per-session lock is what makes
+    restriction, the emitted-event dedup sets).  The session table only
+    locks its own calls — this per-session lock is what makes
     concurrent steps against one session take turns.
     """
 
@@ -110,12 +110,11 @@ class CrackSessionStore:
 
     def __init__(self, max_sessions: int = DEFAULT_MAX_SESSIONS) -> None:
         self._sessions: BoundedLRU[str, _Session] = BoundedLRU(max_sessions)
-        self._lock = threading.Lock()  # the id counter and the table, as one
+        self._lock = threading.Lock()  # the id counter; the table locks itself
         self._counter = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     def _open(self, instance: Mapping[str, Any]) -> tuple[str, _Session]:
         session = _Session(solver_from_instance(instance))
@@ -126,15 +125,13 @@ class CrackSessionStore:
         return session_id, session
 
     def _resume(self, session_id: str) -> _Session:
-        with self._lock:
-            session = self._sessions.get(session_id)
+        session = self._sessions.get(session_id)
         if session is MISSING:
             raise SolverError(f"unknown or expired crack session {session_id!r}")
         return session
 
     def _retire(self, session_id: str) -> None:
-        with self._lock:
-            self._sessions.pop(session_id)
+        self._sessions.pop(session_id)
 
     def step(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Answer one ``/crack/step`` request (see the module docstring).

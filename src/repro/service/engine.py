@@ -18,10 +18,12 @@ recipe.  The :class:`AssessmentEngine` wraps it in what a server needs:
   ``stage:<name>``.
 * **Deterministic randomness** — the alpha stage's RNG is seeded from
   the request fingerprint (:func:`~repro.service.fingerprint.derived_seed`),
-  so the same question yields byte-identical JSON whether it runs
-  inline, through :meth:`assess_many` with one worker, or fanned out
-  across a process pool.
-* **Retries and deadlines** — transient failures are retried with
+  so the same question yields byte-identical JSON whether it arrives
+  over HTTP, through :meth:`assess_many`, or in another replica.
+* **One path** — :meth:`assess_request` and every :meth:`assess_many`
+  slot take the same cache/compute decision (:meth:`_answer`), behind
+  the same circuit breaker.
+* **Retries and deadlines** — batch slots retry transient failures with
   backoff, and a per-request :class:`~repro.budget.ComputeBudget`
   degrades the recipe to an INCONCLUSIVE answer; nothing computed by
   a request whose budget ran out is cached.
@@ -142,10 +144,10 @@ class AssessmentEngine:
     metrics:
         Shared :class:`ServiceMetrics`; defaults to a private instance.
     breaker:
-        Circuit breaker guarding the serial compute path; defaults to a
-        fresh :class:`~repro.service.breaker.CircuitBreaker` sharing the
-        engine's metrics.  Pool workers are separate processes and are
-        deliberately outside the breaker.
+        Circuit breaker guarding every compute, HTTP request and batch
+        slot alike; defaults to a fresh
+        :class:`~repro.service.breaker.CircuitBreaker` sharing the
+        engine's metrics.
     """
 
     def __init__(
@@ -192,67 +194,17 @@ class AssessmentEngine:
     ) -> AssessmentOutcome:
         """Answer one pre-packaged request, through the cache.
 
-        Lookups are single-flight: concurrent requests for the same
-        fingerprint (e.g. simultaneous HTTP hits) run one computation
-        and share its result instead of racing.
-
         *budget* attaches a per-request deadline (see
-        :mod:`repro.service.budget`).  Budgets are deliberately *not*
-        part of the fingerprint — the answer to a question does not
-        depend on how long the client was willing to wait — so a
-        deadline-bearing request still hits the shared cache; but an
-        answer computed by a request whose budget ran out is never
-        cached (see :func:`_cacheable`), because a different deadline
-        could have done better.  Deadline-bearing
-        misses skip the single-flight rendezvous: sharing another
-        request's computation would mean inheriting someone else's
-        deadline.
+        :mod:`repro.service.budget`); :meth:`_answer` says how it
+        changes the cache path.
         """
         start = time.perf_counter()
         self.metrics.increment("requests")
         profile = as_profile(source)
         profile_hash, fingerprint = _fingerprints(profile, params)
-
-        def compute() -> RiskAssessment:
-            self.metrics.increment("computed")
-            with self.metrics.timer("assess"):
-                return self._compute(
-                    profile, params, fingerprint, profile_hash, budget=budget
-                )
-
-        if budget is None:
-            assessment, origin = self.cache.get_or_compute(
-                fingerprint, lambda: self.breaker.call(compute)
-            )
-            cached = origin != "computed"
-        elif self.cache.shared:
-            # Deadline-bearing misses still coordinate across replicas:
-            # another process's in-progress artifact can be awaited for
-            # up to the remaining budget (compute_shared falls back to a
-            # local compute past that), and a partial result is withheld
-            # from the cache by the store predicate.
-            assessment, origin = self.cache.compute_shared(
-                fingerprint,
-                lambda: self.breaker.call(compute),
-                timeout_seconds=budget.remaining_seconds(),
-                store=lambda result: _cacheable(result, budget),
-            )
-            cached = origin != "computed"
-            if not cached and assessment.partial:
-                self.metrics.increment("partial_results")
-        else:
-            hit = self.cache.get(fingerprint)
-            if hit is not None:
-                assessment, cached = hit, True
-            else:
-                assessment = self.breaker.call(compute)
-                cached = False
-                if _cacheable(assessment, budget):
-                    self.cache.put(fingerprint, assessment)
-                if assessment.partial:
-                    self.metrics.increment("partial_results")
-        if cached:
-            self.metrics.increment("cache_hits")
+        assessment, cached = self._answer(
+            profile, params, fingerprint, profile_hash, budget
+        )
         return AssessmentOutcome(
             assessment=assessment,
             fingerprint=fingerprint,
@@ -260,143 +212,122 @@ class AssessmentEngine:
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    # -- batches and sweeps ----------------------------------------------
-
-    def assess_many(
+    def _answer(
         self,
-        requests: Sequence[tuple[FrequencySource, AssessmentParams]],
-        workers: int = 1,
-        *,
-        retries: int = 2,
-        backoff_seconds: float = 0.05,
-        timeout_seconds: float | None = None,
-        deadline_seconds: float | None = None,
-    ) -> list[BatchResult]:
-        """Answer a batch, optionally fanned out across processes.
-
-        Results are returned in input order and are identical for any
-        *workers* value (per-job seeds derive from the fingerprints, not
-        from scheduling).  Cache hits are served without touching the
-        pool; computed results are inserted into the cache.
-
-        Transient failures (anything but a deterministic
-        :class:`~repro.errors.ReproError`) are retried up to *retries*
-        times with exponential backoff, on the serial path and inside
-        the pool alike.  *timeout_seconds* caps each pool job's
-        wall-clock time (measured from submission; serial jobs cannot be
-        preempted and ignore it).  *deadline_seconds* attaches a
-        per-job cooperative :class:`~repro.budget.ComputeBudget` on the
-        serial path: computations degrade to INCONCLUSIVE partial
-        results near the deadline, retry backoff never sleeps past it,
-        and answers whose budget ran out are not cached.
-        """
-        if workers <= 1:
-            return [
-                self._assess_job(
-                    index, source, params, retries, backoff_seconds,
-                    deadline_seconds=deadline_seconds,
-                )
-                for index, (source, params) in enumerate(requests)
-            ]
-
-        jobs: list[tuple[int, FrequencyProfile, AssessmentParams, str]] = []
-        results: dict[int, BatchResult] = {}
-        for index, (source, params) in enumerate(requests):
-            start = time.perf_counter()
-            self.metrics.increment("requests")
-            profile = as_profile(source)
-            _, fingerprint = _fingerprints(profile, params)
-            cached = self.cache.get(fingerprint)
-            if cached is not None:
-                self.metrics.increment("cache_hits")
-                results[index] = BatchResult(
-                    index=index,
-                    fingerprint=fingerprint,
-                    assessment=cached,
-                    error=None,
-                    cached=True,
-                    elapsed_seconds=time.perf_counter() - start,
-                )
-            else:
-                jobs.append((index, profile, params, fingerprint))
-
-        if jobs:
-            from repro.service.pool import run_batch
-
-            for result in run_batch(
-                jobs,
-                workers=workers,
-                retries=retries,
-                backoff_seconds=backoff_seconds,
-                timeout_seconds=timeout_seconds,
-            ):
-                if result.ok:
-                    self.metrics.increment("computed")
-                    self.cache.put(result.fingerprint, result.assessment)
-                else:
-                    self.metrics.increment("errors")
-                results[result.index] = result
-
-        return [results[index] for index in range(len(requests))]
-
-    def _assess_job(
-        self,
-        index: int,
-        source: FrequencySource,
+        profile: FrequencyProfile,
         params: AssessmentParams,
-        retries: int,
-        backoff_seconds: float,
-        deadline_seconds: float | None = None,
-    ) -> BatchResult:
-        """One serial batch slot: single-flight cache + retry, error captured."""
-        start = time.perf_counter()
-        self.metrics.increment("requests")
-        attempts = [0]
-        try:
-            profile = as_profile(source)
-            profile_hash, fingerprint = _fingerprints(profile, params)
-        except Exception as exc:
-            self.metrics.increment("errors")
-            return BatchResult(
-                index=index,
-                fingerprint="",
-                assessment=None,
-                error=f"{type(exc).__name__}: {exc}",
-                cached=False,
-                elapsed_seconds=time.perf_counter() - start,
-            )
+        fingerprint: str,
+        profile_hash: str,
+        budget: ComputeBudget | None,
+        retries: int = 0,
+        backoff_seconds: float = 0.0,
+        attempts: list[int] | None = None,
+    ) -> tuple[RiskAssessment, bool]:
+        """The one cache/compute decision; returns ``(assessment, cached)``.
 
-        budget = (
-            None
-            if deadline_seconds is None
-            else ComputeBudget(seconds=deadline_seconds)
-        )
+        Without a budget the lookup is single-flight: concurrent
+        requests for the same fingerprint (e.g. simultaneous HTTP hits)
+        run one computation and share its result instead of racing.
+
+        Budgets are deliberately *not* part of the fingerprint — the
+        answer to a question does not depend on how long the client was
+        willing to wait — so a deadline-bearing request still hits the
+        cache; but it skips the in-process flight rendezvous (sharing
+        another request's computation would mean inheriting someone
+        else's deadline), and an answer computed by a request whose
+        budget ran out is never cached (see :func:`_cacheable`).  On a
+        shared tier it still coordinates across replicas: another
+        process's in-progress artifact is awaited for up to the
+        remaining budget.
+
+        The breaker wraps the whole compute, *retries* included, so it
+        counts one failure per request or batch slot.
+        """
 
         def compute() -> RiskAssessment:
             self.metrics.increment("computed")
             with self.metrics.timer("assess"):
                 return self._compute_with_retries(
                     profile, params, fingerprint, profile_hash, retries,
-                    backoff_seconds, attempts, budget=budget,
+                    backoff_seconds, attempts, budget,
                 )
 
+        def guarded() -> RiskAssessment:
+            return self.breaker.call(compute)
+
+        if budget is None:
+            assessment, origin = self.cache.get_or_compute(fingerprint, guarded)
+        else:
+            assessment, origin = self.cache.compute_shared(
+                fingerprint,
+                guarded,
+                timeout_seconds=budget.remaining_seconds(),
+                store=lambda result: _cacheable(result, budget),
+            )
+            if origin == "computed" and assessment.partial:
+                self.metrics.increment("partial_results")
+        cached = origin != "computed"
+        if cached:
+            self.metrics.increment("cache_hits")
+        return assessment, cached
+
+    # -- batches and sweeps ----------------------------------------------
+
+    def assess_many(
+        self,
+        requests: Sequence[tuple[FrequencySource, AssessmentParams]],
+        *,
+        retries: int = 2,
+        backoff_seconds: float = 0.05,
+        deadline_seconds: float | None = None,
+    ) -> list[BatchResult]:
+        """Answer a batch in input order, one slot at a time.
+
+        Each slot takes the path of :meth:`assess_request`, with one
+        failure captured in its :class:`BatchResult` instead of killing
+        the batch.  Transient failures (anything but a deterministic
+        :class:`~repro.errors.ReproError`) are retried up to *retries*
+        times with exponential backoff, inside the breaker.
+        *deadline_seconds* attaches a per-slot cooperative
+        :class:`~repro.budget.ComputeBudget`: computations degrade to
+        INCONCLUSIVE partial results near the deadline, retry backoff
+        never sleeps past it, and answers whose budget ran out are not
+        cached.
+        """
+        return [
+            self._assess_slot(
+                index, source, params, retries, backoff_seconds, deadline_seconds
+            )
+            for index, (source, params) in enumerate(requests)
+        ]
+
+    def _assess_slot(
+        self,
+        index: int,
+        source: FrequencySource,
+        params: AssessmentParams,
+        retries: int,
+        backoff_seconds: float,
+        deadline_seconds: float | None,
+    ) -> BatchResult:
+        """One batch slot: :meth:`_answer` with retries, error captured."""
+        start = time.perf_counter()
+        self.metrics.increment("requests")
+        attempts = [0]
+        fingerprint = ""
         try:
-            if budget is None:
-                assessment, origin = self.cache.get_or_compute(fingerprint, compute)
-            else:
-                # Deadline-bearing slots mirror assess_request: skip the
-                # single-flight rendezvous (another request's deadline is
-                # not ours) and never cache a partial result.
-                hit = self.cache.get(fingerprint)
-                if hit is not None:
-                    assessment, origin = hit, "cache"
-                else:
-                    assessment, origin = compute(), "computed"
-                    if _cacheable(assessment, budget):
-                        self.cache.put(fingerprint, assessment)
-                    if assessment.partial:
-                        self.metrics.increment("partial_results")
-        except Exception as exc:  # per-job capture, batch survives
+            profile = as_profile(source)
+            profile_hash, fingerprint = _fingerprints(profile, params)
+            budget = (
+                None
+                if deadline_seconds is None
+                else ComputeBudget(seconds=deadline_seconds)
+            )
+            assessment, cached = self._answer(
+                profile, params, fingerprint, profile_hash, budget,
+                retries, backoff_seconds, attempts,
+            )
+        except Exception as exc:  # per-slot capture, batch survives
             self.metrics.increment("errors")
             return BatchResult(
                 index=index,
@@ -407,9 +338,6 @@ class AssessmentEngine:
                 elapsed_seconds=time.perf_counter() - start,
                 attempts=max(1, attempts[0]),
             )
-        cached = origin != "computed"
-        if cached:
-            self.metrics.increment("cache_hits")
         return BatchResult(
             index=index,
             fingerprint=fingerprint,
@@ -428,8 +356,8 @@ class AssessmentEngine:
         profile_hash: str,
         retries: int,
         backoff_seconds: float,
-        attempts: list[int] | None = None,
-        budget: ComputeBudget | None = None,
+        attempts: list[int] | None,
+        budget: ComputeBudget | None,
     ) -> RiskAssessment:
         """Run :meth:`_compute`, retrying transient failures with backoff.
 

@@ -47,8 +47,8 @@ site                      fired
                           window against a releasing owner)
 ``cache.lease.takeover``  between the re-check and the unlink in
                           ``take_over``
-``engine.compute``        at the top of every (serial or worker) computation
-``pool.job``              at the start of every pool-worker job
+``engine.compute``        at the top of every computation (HTTP request or
+                          batch slot)
 ``budget.poll``           every slow-path deadline check of a request
                           :class:`~repro.budget.ComputeBudget` (a ``delay``
                           rule here burns wall-clock deterministically, so
@@ -71,9 +71,8 @@ Usage::
         ...                      # first compute raises OSError, rest succeed
     assert injector.events       # what actually fired, in order
 
-Worker processes created by a *fork* start method inherit the installed
-injector (with counter values as of the fork), which is how
-``repro-batch --faults`` exercises the pool's retry path.
+``repro-batch --faults`` installs a schedule around the whole batch,
+which is how the CLI exercises the batch slots' retry path.
 """
 
 from __future__ import annotations
@@ -346,7 +345,7 @@ def _tear_file(path: PathLike, truncate_at: int) -> None:
         return  # nothing written yet, or the file vanished — plain crash
 
 
-#: The process-wide active injector (inherited by forked pool workers).
+#: The process-wide active injector.
 _ACTIVE: FaultInjector | None = None
 _INSTALL_LOCK = threading.Lock()
 

@@ -7,8 +7,8 @@ the frequency profile's counts together with the recipe parameters
 fingerprints are guaranteed to produce the same :class:`RiskAssessment`
 — the recipe's only randomness (the alpha stage's permutations) is
 seeded from the fingerprint itself via :func:`derived_seed`, so results
-are reproducible regardless of which worker runs the job or in what
-order a batch is scheduled.
+are reproducible regardless of which process answers the request or in
+what order a batch is scheduled.
 
 A profile hashes as one SHA-256 over its items and counts, laid out as
 little-endian int64 arrays sorted by item.  Profiles whose items are not
@@ -86,26 +86,6 @@ class AssessmentParams:
             else sorted((_encode_item(item) for item in self.interest)),
         }
 
-    def to_json(self) -> dict[str, Any]:
-        """Alias of :meth:`canonical` for transport (pool jobs, HTTP)."""
-        return self.canonical()
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "AssessmentParams":
-        """Rebuild params written by :meth:`to_json` (tagged interest)."""
-        from repro.io import _decode_item
-
-        interest = payload.get("interest")
-        return cls(
-            tolerance=float(payload["tolerance"]),
-            delta=None if payload.get("delta") is None else float(payload["delta"]),
-            runs=int(payload.get("runs", 5)),
-            seed=int(payload.get("seed", 0)),
-            interest=None
-            if interest is None
-            else frozenset(_decode_item(entry) for entry in interest),
-        )
-
 
 def _tagged_body(counts: Mapping[Any, Any]) -> bytes:
     """Length-prefixed ``kind/text/count`` records sorted by item tag.
@@ -178,8 +158,8 @@ def request_fingerprint(
 def derived_seed(fingerprint: str) -> int:
     """A deterministic RNG seed for the request with this fingerprint.
 
-    Jobs seeded this way give identical results whether they run inline,
-    in a 1-worker pool, or interleaved across 4 processes.
+    Requests seeded this way give identical results whether they arrive
+    over HTTP, in a batch, or at another replica sharing the cache.
     """
     return int(fingerprint[:16], 16) & (2**63 - 1)
 

@@ -779,6 +779,34 @@ class Worker:
         )
         assert "CC001" not in {v.rule for v in result.violations}
 
+    @pytest.mark.parametrize(
+        "factory, racy", [("BoundedLRU(8)", False), ("dict()", True)]
+    )
+    def test_self_locking_memo_field_is_not_shared(self, factory, racy):
+        source = f"""
+import threading
+from repro.memo import BoundedLRU
+
+class Store:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._table = {factory}
+
+    def spawn(self):
+        threading.Thread(target=self._retire).start()
+        threading.Thread(target=self._size).start()
+
+    def _retire(self):
+        self._table.pop("a")
+
+    def _size(self):
+        return len(self._table)
+"""
+        result = _flow_result(
+            (source, "src/repro/service/fake_s.py", "repro.service.fake_s")
+        )
+        assert ("CC001" in {v.rule for v in result.violations}) is racy
+
 
 RACY_GLOBAL = """
 import threading
@@ -834,63 +862,68 @@ class TestGlobalRaces:
 
 
 class TestBudgetCoverage:
-    PATH = "src/repro/service/pool.py"
-    MODULE = "repro.service.pool"
+    PATH = "src/repro/service/engine.py"
+    MODULE = "repro.service.engine"
+    ENTRY = "repro.service.engine.AssessmentEngine.assess_many"
 
     def test_unbudgeted_chain_flagged(self):
         source = (
-            "def run_batch(jobs):\n"
-            "    _drain(jobs)\n"
-            "def _drain(jobs):\n"
-            "    while jobs:\n"
-            "        jobs.pop()\n"
+            "class AssessmentEngine:\n"
+            "    def assess_many(self, jobs):\n"
+            "        self._drain(jobs)\n"
+            "    def _drain(self, jobs):\n"
+            "        while jobs:\n"
+            "            jobs.pop()\n"
         )
         result = _flow_result((source, self.PATH, self.MODULE))
         fs = [v for v in result.violations if v.rule == "FS005"]
         assert fs and "_drain" in fs[0].message
-        assert fs[0].witness["entry_chain"][0] == "repro.service.pool.run_batch"
+        assert fs[0].witness["entry_chain"][0] == self.ENTRY
 
     def test_direct_poll_covers(self):
         source = (
-            "def run_batch(jobs, budget):\n"
-            "    while jobs:\n"
-            "        budget.checkpoint()\n"
-            "        jobs.pop()\n"
+            "class AssessmentEngine:\n"
+            "    def assess_many(self, jobs, budget):\n"
+            "        while jobs:\n"
+            "            budget.checkpoint()\n"
+            "            jobs.pop()\n"
         )
         result = _flow_result((source, self.PATH, self.MODULE))
         assert "FS005" not in {v.rule for v in result.violations}
 
     def test_transitively_polling_callee_covers(self):
         source = (
-            "def run_batch(jobs):\n"
-            "    while jobs:\n"
-            "        _step(jobs)\n"
-            "def _step(jobs):\n"
-            "    budget = _grab()\n"
-            "    budget.checkpoint()\n"
-            "def _grab():\n"
-            "    return None\n"
+            "class AssessmentEngine:\n"
+            "    def assess_many(self, jobs):\n"
+            "        while jobs:\n"
+            "            self._step(jobs)\n"
+            "    def _step(self, jobs):\n"
+            "        budget = self._grab()\n"
+            "        budget.checkpoint()\n"
+            "    def _grab(self):\n"
+            "        return None\n"
         )
         result = _flow_result((source, self.PATH, self.MODULE))
         assert "FS005" not in {v.rule for v in result.violations}
         program = _flow_program((source, self.PATH, self.MODULE))
         kinds = {f.function: f.coverage for f in program.budget.findings()}
-        assert kinds["repro.service.pool.run_batch"] == "callee"
+        assert kinds[self.ENTRY] == "callee"
 
     def test_budget_aware_caller_amortizes(self):
         source = (
-            "def run_batch(jobs, budget):\n"
-            "    budget.checkpoint()\n"
-            "    _drain(jobs)\n"
-            "def _drain(jobs):\n"
-            "    while jobs:\n"
-            "        jobs.pop()\n"
+            "class AssessmentEngine:\n"
+            "    def assess_many(self, jobs, budget):\n"
+            "        budget.checkpoint()\n"
+            "        self._drain(jobs)\n"
+            "    def _drain(self, jobs):\n"
+            "        while jobs:\n"
+            "            jobs.pop()\n"
         )
         result = _flow_result((source, self.PATH, self.MODULE))
         assert "FS005" not in {v.rule for v in result.violations}
         program = _flow_program((source, self.PATH, self.MODULE))
         kinds = {f.function: f.coverage for f in program.budget.findings()}
-        assert kinds["repro.service.pool._drain"] == "amortized"
+        assert kinds["repro.service.engine.AssessmentEngine._drain"] == "amortized"
 
     def test_unreachable_loop_not_flagged(self):
         source = (

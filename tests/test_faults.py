@@ -3,7 +3,8 @@
 Everything here is marked ``faults`` (run separately in CI with a hard
 timeout); it exercises the failure semantics documented in
 ``docs/service.md``: atomic disk writes, single-flight deduplication,
-retry/timeout in the pool, and graceful server shutdown.
+batch-slot retries behind the circuit breaker, and graceful server
+shutdown.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from repro.service import (
     InjectedCrash,
     injected_faults,
     load_schedule,
-    request_fingerprint,
-    run_batch,
 )
 from repro.service import faults as faults_module
 
@@ -138,7 +137,7 @@ class TestInjector:
         schedule = {
             "rules": [
                 {"site": "engine.compute", "action": "error", "times": 3},
-                {"site": "pool.*", "action": "delay", "delay_seconds": 0.01},
+                {"site": "cache.*", "action": "delay", "delay_seconds": 0.01},
             ]
         }
         path = tmp_path / "faults.json"
@@ -395,14 +394,6 @@ class TestCacheConcurrency:
             assert payload["type"] == "cached_assessment"
 
 
-def _jobs(engine, profiles, tolerance=0.05):
-    jobs = []
-    for index, profile in enumerate(profiles):
-        params = AssessmentParams(tolerance=tolerance)
-        jobs.append((index, profile, params, request_fingerprint(profile, params)))
-    return jobs
-
-
 def small_profiles(count):
     return [
         FrequencyProfile({i: 30 * i + k for i in range(1, 16)}, 1000)
@@ -417,7 +408,7 @@ class TestPoolFaults:
         with injected_faults(
             [FaultRule(site="engine.compute", action="error", times=1)]
         ) as injector:
-            results = engine.assess_many(requests, workers=1)
+            results = engine.assess_many(requests)
         assert results[0].ok and results[0].attempts == 2
         assert engine.metrics.counter("retries") == 1
         assert injector.fired("engine.compute") == 1
@@ -428,9 +419,7 @@ class TestPoolFaults:
     def test_serial_path_does_not_retry_deterministic_errors(self):
         flat = FrequencyProfile({i: 50 for i in range(1, 6)}, 100)  # no gaps
         engine = AssessmentEngine()
-        results = engine.assess_many(
-            [(flat, AssessmentParams(tolerance=0.0))], workers=1
-        )
+        results = engine.assess_many([(flat, AssessmentParams(tolerance=0.0))])
         assert not results[0].ok
         assert "RecipeError" in results[0].error
         assert results[0].attempts == 1
@@ -443,43 +432,11 @@ class TestPoolFaults:
         ):
             results = engine.assess_many(
                 [(profile, AssessmentParams(tolerance=0.1))],
-                workers=1,
                 retries=2,
                 backoff_seconds=0.001,
             )
         assert not results[0].ok and "OSError" in results[0].error
         assert results[0].attempts == 3  # 1 try + 2 retries
-
-    def test_pool_retries_transient_worker_failures(self):
-        engine = AssessmentEngine()
-        jobs = _jobs(engine, small_profiles(3))
-        with injected_faults([FaultRule(site="pool.job", action="error", times=1)]):
-            results = run_batch(jobs, workers=1, backoff_seconds=0.001)
-        assert [result.ok for result in results] == [True, True, True]
-        assert results[0].attempts == 2  # first job failed once, was resubmitted
-        assert results[1].attempts == 1 and results[2].attempts == 1
-
-    def test_pool_job_timeout_is_an_error_not_a_hang(self):
-        engine = AssessmentEngine()
-        jobs = _jobs(engine, small_profiles(1))
-        with injected_faults(
-            [FaultRule(site="pool.job", action="delay", delay_seconds=0.6)]
-        ):
-            start = time.perf_counter()
-            results = run_batch(jobs, workers=1, timeout_seconds=0.1)
-        assert not results[0].ok
-        assert "TimeoutError" in results[0].error
-        # the batch returned promptly (pool drain may add the delay tail)
-        assert time.perf_counter() - start < 5.0
-
-    def test_worker_crash_fails_the_slot_not_the_batch(self):
-        engine = AssessmentEngine()
-        jobs = _jobs(engine, small_profiles(3))
-        with injected_faults([FaultRule(site="pool.job", action="crash", times=1)]):
-            results = run_batch(jobs, workers=1, backoff_seconds=0.001)
-        errors = [result for result in results if not result.ok]
-        assert len(errors) == 1 and "InjectedCrash" in errors[0].error
-        assert sum(result.ok for result in results) == 2
 
     def test_batch_identical_json_under_transient_faults(self):
         """Acceptance: transient faults change nothing about the answers."""
@@ -487,20 +444,40 @@ class TestPoolFaults:
             (profile, AssessmentParams(tolerance=0.05))
             for profile in small_profiles(4)
         ]
-        baseline = AssessmentEngine().assess_many(requests, workers=1)
+        baseline = AssessmentEngine().assess_many(requests)
         assert all(result.ok for result in baseline)
         schedule = [FaultRule(site="engine.compute", action="error", times=1)]
         with injected_faults(schedule):
-            serial = AssessmentEngine().assess_many(requests, workers=1)
-        with injected_faults(schedule):
-            parallel = AssessmentEngine().assess_many(
-                requests, workers=4, backoff_seconds=0.001
-            )
-        for results in (serial, parallel):
-            assert all(result.ok for result in results)
-            assert [r.assessment for r in results] == [
-                r.assessment for r in baseline
-            ]
+            results = AssessmentEngine().assess_many(requests)
+        assert all(result.ok for result in results)
+        assert [r.assessment for r in results] == [r.assessment for r in baseline]
+
+    def test_breaker_opens_across_failing_slots(self):
+        """Each slot is one breaker call: a failing streak opens it mid-batch."""
+        engine = AssessmentEngine()
+        threshold = engine.breaker.failure_threshold
+        calls = []
+        original = engine._compute
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])  # the fingerprint
+            return original(*args, **kwargs)
+
+        engine._compute = counting  # type: ignore[method-assign]
+        requests = [
+            (profile, AssessmentParams(tolerance=0.05))
+            for profile in small_profiles(8)
+        ]
+        with injected_faults(
+            [FaultRule(site="engine.compute", action="error", times=None)]
+        ):
+            results = engine.assess_many(requests, retries=0)
+        assert not any(result.ok for result in results)
+        assert all("OSError" in r.error for r in results[:threshold])
+        assert all("CircuitOpenError" in r.error for r in results[threshold:])
+        assert engine.breaker.state == "open"
+        # the fast-failed slots never reached the compute seam
+        assert calls == [r.fingerprint for r in results[:threshold]]
 
 
 class TestBatchCLIFaults:
@@ -519,7 +496,7 @@ class TestBatchCLIFaults:
         )
         return str(manifest)
 
-    def test_workers_1_and_4_identical_under_injected_faults(self, tmp_path, capsys):
+    def test_batch_identical_json_under_injected_faults(self, tmp_path, capsys):
         from repro.cli import batch_main
 
         manifest = self._write_manifest(tmp_path)
@@ -529,24 +506,20 @@ class TestBatchCLIFaults:
                 {"rules": [{"site": "engine.compute", "action": "error", "times": 1}]}
             )
         )
-        out_serial = tmp_path / "serial.jsonl"
-        out_parallel = tmp_path / "parallel.jsonl"
+        out_clean = tmp_path / "clean.jsonl"
+        out_faulted = tmp_path / "faulted.jsonl"
+        assert batch_main([manifest, "--output", str(out_clean)]) == 0
         assert (
-            batch_main([manifest, "--workers", "1", "--faults", str(schedule),
-                        "--output", str(out_serial)])
+            batch_main([manifest, "--faults", str(schedule),
+                        "--output", str(out_faulted)])
             == 0
         )
-        assert (
-            batch_main([manifest, "--workers", "4", "--faults", str(schedule),
-                        "--output", str(out_parallel)])
-            == 0
-        )
-        serial = [json.loads(line) for line in out_serial.read_text().splitlines()]
-        parallel = [json.loads(line) for line in out_parallel.read_text().splitlines()]
-        assert [record["name"] for record in serial] == ["q0", "q1", "q2"]
-        assert all("assessment" in record for record in serial)
-        assert [record["assessment"] for record in serial] == [
-            record["assessment"] for record in parallel
+        clean = [json.loads(line) for line in out_clean.read_text().splitlines()]
+        faulted = [json.loads(line) for line in out_faulted.read_text().splitlines()]
+        assert [record["name"] for record in faulted] == ["q0", "q1", "q2"]
+        assert all("assessment" in record for record in faulted)
+        assert [record["assessment"] for record in faulted] == [
+            record["assessment"] for record in clean
         ]
         assert "fault injection" in capsys.readouterr().err
 

@@ -568,7 +568,7 @@ class TestBatchCheckpointCrash:
         ):
             with pytest.raises(InjectedCrash):
                 batch_main(
-                    [manifest, "--checkpoint", str(ckpt), "--workers", "1",
+                    [manifest, "--checkpoint", str(ckpt),
                      "--output", str(tmp_path / "crashed.jsonl")]
                 )
         surviving = list(ckpt.glob("*.json"))

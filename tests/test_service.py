@@ -1,6 +1,7 @@
 """Unit and end-to-end tests for the risk-assessment service layer."""
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -14,7 +15,6 @@ from repro.errors import RecipeError, ReproError
 from repro.io import (
     SCHEMA_VERSION,
     assessment_from_json,
-    assessment_to_json,
     load_json,
     profile_to_json,
     save_json,
@@ -24,11 +24,13 @@ from repro.service import (
     AssessmentCache,
     AssessmentEngine,
     AssessmentParams,
+    ComputeBudget,
     ServiceMetrics,
     derived_seed,
     profile_fingerprint,
     request_fingerprint,
 )
+from repro.service.cache import COMMIT_LOG_NAME
 
 
 @pytest.fixture
@@ -96,12 +98,6 @@ class TestFingerprint:
             AssessmentParams(tolerance=0.1, runs=0)
         with pytest.raises(RecipeError):
             AssessmentParams(tolerance=0.1, interest=frozenset())
-
-    def test_params_json_roundtrip(self):
-        params = AssessmentParams(
-            tolerance=0.25, delta=0.004, runs=7, seed=3, interest=frozenset([1, "a"])
-        )
-        assert AssessmentParams.from_json(params.to_json()) == params
 
     def test_derived_seed_deterministic_and_bounded(self, profile):
         fp = request_fingerprint(profile, AssessmentParams(tolerance=0.1))
@@ -216,46 +212,69 @@ class TestEngine:
 
 
 class TestBatch:
-    def test_identical_json_across_pool_sizes(self):
-        requests = [
-            (profile, AssessmentParams(tolerance=0.05))
-            for profile in small_profiles(8)
-        ]
-        serial = AssessmentEngine().assess_many(requests, workers=1)
-        parallel = AssessmentEngine().assess_many(requests, workers=4)
-        assert all(r.ok for r in serial)
-        serial_json = [
-            json.dumps(assessment_to_json(r.assessment), sort_keys=True)
-            for r in serial
-        ]
-        parallel_json = [
-            json.dumps(assessment_to_json(r.assessment), sort_keys=True)
-            for r in parallel
-        ]
-        assert serial_json == parallel_json
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_bad_job_does_not_kill_the_batch(self, workers):
-        good = small_profiles(3)
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_one_bad_job_does_not_kill_the_batch(self, bad):
         flat = FrequencyProfile({i: 50 for i in range(1, 6)}, 100)  # no gaps
         requests = [
-            (good[0], AssessmentParams(tolerance=0.05)),
-            (flat, AssessmentParams(tolerance=0.0)),  # RecipeError inside job
-            (good[1], AssessmentParams(tolerance=0.05)),
-            (good[2], AssessmentParams(tolerance=0.05)),
+            (profile, AssessmentParams(tolerance=0.05))
+            for profile in small_profiles(3)
         ]
-        results = AssessmentEngine().assess_many(requests, workers=workers)
-        assert [r.ok for r in results] == [True, False, True, True]
-        assert "RecipeError" in results[1].error
+        # RecipeError inside the job, mid-batch or in the last slot
+        requests.insert(bad, (flat, AssessmentParams(tolerance=0.0)))
+        results = AssessmentEngine().assess_many(requests)
+        assert [r.ok for r in results] == [i != bad for i in range(4)]
+        assert "RecipeError" in results[bad].error
         assert [r.index for r in results] == [0, 1, 2, 3]
 
     def test_batch_serves_cache_hits(self, profile):
         engine = AssessmentEngine()
         engine.assess(profile, 0.1)
-        results = engine.assess_many(
-            [(profile, AssessmentParams(tolerance=0.1))], workers=1
-        )
+        results = engine.assess_many([(profile, AssessmentParams(tolerance=0.1))])
         assert results[0].cached and results[0].ok
+
+
+class TestOneAnswerPath:
+    """HTTP requests and batch slots share one cache/compute decision."""
+
+    def test_deadline_request_does_not_wait_on_an_inflight_leader(self, profile):
+        engine = AssessmentEngine()
+        params = AssessmentParams(tolerance=0.1)
+        original = engine._compute
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(profile, params, fingerprint, profile_hash, budget=None):
+            if budget is None:  # only the unbudgeted leader blocks
+                entered.set()
+                release.wait(3.0)
+            return original(profile, params, fingerprint, profile_hash, budget=budget)
+
+        engine._compute = blocking  # type: ignore[method-assign]
+        leader = threading.Thread(target=engine.assess_request, args=(profile, params))
+        leader.start()
+        try:
+            assert entered.wait(5.0)
+            start = time.perf_counter()
+            outcome = engine.assess_request(
+                profile, params, budget=ComputeBudget(seconds=0.3)
+            )
+            elapsed = time.perf_counter() - start
+        finally:
+            release.set()
+            leader.join(10.0)
+        assert elapsed < 1.0, f"waited {elapsed:.2f}s on another request's flight"
+        assert not outcome.cached
+
+    def test_deadline_batch_slot_takes_a_shared_lease(self, tmp_path, profile):
+        engine = AssessmentEngine(
+            cache=AssessmentCache(directory=tmp_path, shared=True)
+        )
+        [result] = engine.assess_many(
+            [(profile, AssessmentParams(tolerance=0.1))], deadline_seconds=30
+        )
+        assert result.ok and not result.cached
+        assert engine.cache.stats()["lease_acquired"] == 1
+        log = (tmp_path / COMMIT_LOG_NAME).read_text().splitlines()
+        assert log == [f"{result.fingerprint} {os.getpid()}"]
 
 
 class TestMetrics:
@@ -379,7 +398,7 @@ class TestBatchCLI:
             ],
         )
         output = tmp_path / "results.jsonl"
-        assert batch_main([manifest, "--workers", "2", "--output", str(output)]) == 0
+        assert batch_main([manifest, "--output", str(output)]) == 0
         records = [json.loads(line) for line in output.read_text().splitlines()]
         assert [record["name"] for record in records] == ["chess-q1", str(fimi)]
         assert all("assessment" in record for record in records)
