@@ -1,16 +1,15 @@
 """Interprocedural budget coverage: every hot loop answers to a deadline.
 
-PR 5's per-file FS004 rule could only see one function at a time, so
-every loop whose budget discipline lives in its *callers* needed an
-audited suppression.  This analysis replaces the module allowlist with
-a whole-program proof.  A loop reachable from the deadline-bearing
+A per-file check can only see one function at a time, so every loop
+whose budget discipline lives in its *callers* would need an audited
+suppression.  This analysis is a whole-program proof instead of a
+module allowlist.  A loop reachable from the deadline-bearing
 entry points (``assess_risk``, the ``ServiceCore`` routes, the solver)
 is **covered** when any of three facts holds:
 
 ``direct``
-    the loop body itself touches a budget (FS004's own criterion:
-    a ``*budget*`` name or a ``checkpoint``/``poll``/``tick``/
-    ``sweep_tick`` call);
+    the loop body itself touches a budget (a ``*budget*`` name or a
+    ``checkpoint``/``poll``/``tick``/``sweep_tick`` call);
 
 ``callee``
     the loop body calls a function that transitively polls a budget —
@@ -55,7 +54,7 @@ _BUDGET_CALL_NAMES = frozenset({"checkpoint", "poll", "tick", "sweep_tick"})
 
 
 def _budget_evidence(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """FS004's criterion over a whole function body (sans nested defs)."""
+    """The ``direct`` criterion over a whole function body (sans nested defs)."""
     for child in body_statements(node):
         if _node_touches_budget(child):
             return True

@@ -9,10 +9,9 @@ the schema ``BENCH_lint.json`` snapshots; ``--dot FILE`` writes the
 measured package import graph in Graphviz syntax.
 
 ``--changed-only`` lints only the files ``git`` reports as modified or
-untracked — the fast local loop.  Changed-only (and ``--no-flow``) runs
-skip the whole-program families (CC/FS005/DT004 need the full call
-graph) and run the per-file FS004 heuristic instead; CI always runs the
-full tree.
+untracked — the fast local loop.  Changed-only runs apply the per-file
+rules only: the whole-program families (CC/FS005/DT004) need the full
+call graph, which CI's full-tree run builds.
 """
 
 from __future__ import annotations
@@ -79,13 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--changed-only",
         action="store_true",
         help="lint only files git reports changed/untracked under the "
-        "given paths (per-file rules only; implies --no-flow)",
-    )
-    parser.add_argument(
-        "--no-flow",
-        action="store_true",
-        help="skip the whole-program flow families (CC/FS005/DT004) and "
-        "run the per-file FS004 heuristic instead",
+        "given paths (per-file rules only; the whole-program flow "
+        "families CC/FS005/DT004 need the full tree)",
     )
     return parser
 
@@ -212,8 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    flow = not (options.no_flow or options.changed_only)
-    project = Project(flow=flow)
+    project = Project(flow=not options.changed_only)
     if options.changed_only:
         files = changed_files(options.paths)
         if files is None:

@@ -163,9 +163,6 @@ class FileContext:
         self.path = path
         self.source = source
         self.module = module
-        #: Set by :class:`Project`: whether this run includes the
-        #: whole-program flow pass (FS004 defers to FS005 when it does).
-        self.flow_enabled = False
         self.tree = ast.parse(source, filename=path)
         self.parents: dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(self.tree):
@@ -281,7 +278,7 @@ class FlowRule(ProjectRule):
     Flow rules share one :class:`~repro.analysis.flow.FlowProgram` —
     call graph, lockset, budget-coverage and taint results — built once
     per :meth:`Project.run` when flow is enabled (the default for
-    ``repro-lint``; ``--changed-only``/``--no-flow`` runs skip it).
+    ``repro-lint``; ``--changed-only`` runs skip it).
     """
 
     def check_project(
@@ -332,7 +329,7 @@ class LintResult:
     files_scanned: int = 0
     parse_errors: list[Violation] = field(default_factory=list)
     #: Call-graph / coverage / taint statistics of the flow pass (the
-    #: ``flow`` block of ``BENCH_lint.json``); ``None`` on no-flow runs.
+    #: ``flow`` block of ``BENCH_lint.json``); ``None`` when the flow pass is off.
     flow_stats: dict | None = None
 
     @property
@@ -346,8 +343,7 @@ class Project:
     *flow* controls the whole-program pass: the flow rule families
     (CC/FS005/DT004) only make sense when the project holds the whole
     tree, so single-file helpers (:func:`analyze_source`) and
-    ``--changed-only`` runs disable it — and FS004, the per-file
-    fallback FS005 supersedes, runs exactly when flow does not.
+    ``--changed-only`` runs disable it.
     """
 
     def __init__(self, flow: bool = True) -> None:
@@ -359,9 +355,7 @@ class Project:
     def add_source(self, source: str, path: str, module: str | None = None) -> None:
         """Add an in-memory file (the test hook; also used by the CLI)."""
         try:
-            ctx = FileContext(path, source, module)
-            ctx.flow_enabled = self.flow
-            self.contexts.append(ctx)
+            self.contexts.append(FileContext(path, source, module))
         except SyntaxError as exc:
             self.result.parse_errors.append(
                 Violation(
@@ -458,7 +452,7 @@ def analyze_source(
     """Lint one in-memory file (per-file rules plus single-file layering).
 
     Single-file runs are per-file by construction, so the whole-program
-    flow pass is off and FS004 (the per-file budget heuristic) is live.
+    flow pass is off.
     """
     project = Project(flow=False)
     project.add_source(source, path, module)

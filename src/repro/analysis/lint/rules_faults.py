@@ -20,14 +20,6 @@ from repro.analysis.lint.engine import FileContext, Rule, Violation, register
 _BASE_EXC_NAMES = frozenset({"BaseException", "InjectedCrash"})
 _WRITE_MODES = frozenset("wax")
 
-#: Module prefixes whose loops are deadline-relevant hot paths: these are
-#: the compute kernels a request :class:`~repro.budget.ComputeBudget`
-#: must be able to interrupt (anytime assessment, ISSUE 5).
-_BUDGET_MODULE_PREFIXES = ("repro.simulation", "repro.graph", "repro.attack")
-
-#: Method names that count as budget polling inside a loop body.
-_BUDGET_CALL_NAMES = frozenset({"checkpoint", "poll", "tick", "sweep_tick"})
-
 
 def _handler_names(handler: ast.ExceptHandler) -> set[str]:
     """Exception class names a handler catches (flattening tuples)."""
@@ -172,72 +164,3 @@ class UnsafePersistenceRule(Rule):
             "write_text",
             "write_bytes",
         )
-
-
-@register
-class UnbudgetedHotLoopRule(Rule):
-    id = "FS004"
-    family = "fault-safety"
-    summary = "hot-path loop that never polls a compute budget"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.flow_enabled:
-            # Whole-program runs prove budget coverage interprocedurally
-            # (FS005); the per-file heuristic would re-flag every loop
-            # whose budget discipline lives in its callers.
-            return
-        if ctx.module is None or not ctx.module.startswith(_BUDGET_MODULE_PREFIXES):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.While):
-                kind = "while loop"
-            elif isinstance(node, ast.For) and self._is_shifted_range(node.iter):
-                kind = "for loop over a shifted range"
-            else:
-                continue
-            if not self._polls_budget(node):
-                yield ctx.violation(
-                    self,
-                    node,
-                    f"{kind} in a deadline-relevant hot path never polls a "
-                    "compute budget; thread a ComputeBudget checkpoint into "
-                    "the loop (or suppress with a justification when the "
-                    "iteration count is provably small)",
-                )
-
-    @staticmethod
-    def _is_shifted_range(iterator: ast.expr) -> bool:
-        """``range(...)`` whose argument contains a ``<<`` (2**n trips)."""
-        if not (
-            isinstance(iterator, ast.Call)
-            and isinstance(iterator.func, ast.Name)
-            and iterator.func.id == "range"
-        ):
-            return False
-        return any(
-            isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.LShift)
-            for argument in iterator.args
-            for inner in ast.walk(argument)
-        )
-
-    @staticmethod
-    def _polls_budget(loop: ast.AST) -> bool:
-        """True when the loop's subtree touches a budget or polls one.
-
-        Accepted evidence: any name (or attribute) containing "budget"
-        — the conventional spelling for threaded ComputeBudget/DPBudget
-        parameters — or a call to ``checkpoint`` / ``poll`` / ``tick`` /
-        ``sweep_tick``.
-        """
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Name) and "budget" in node.id.lower():
-                return True
-            if isinstance(node, ast.Attribute) and "budget" in node.attr.lower():
-                return True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _BUDGET_CALL_NAMES
-            ):
-                return True
-        return False

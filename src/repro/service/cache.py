@@ -15,10 +15,15 @@ Durability and concurrency guarantees (see ``docs/service.md``,
   restarted after a crash) can never observe a truncated artifact.
   Orphan ``*.tmp`` files left by a crash are swept — and counted as
   ``invalidated`` — the next time a cache opens the directory.
-* **Single-flight lookups** — :meth:`get_or_compute` deduplicates
-  concurrent requests for the same fingerprint: one thread computes (or
-  reads disk), the rest wait on the in-flight result instead of racing
-  through the memory-miss / disk-read gap.
+* **Single-flight lookups** — :meth:`get_or_compute` is the one
+  lookup-and-compute path.  Without a budget it deduplicates concurrent
+  requests for the same fingerprint: one thread computes (or reads
+  disk), the rest wait on the in-flight result instead of racing
+  through the memory-miss / disk-read gap.  A call with a
+  :class:`~repro.budget.ComputeBudget` skips that flight (it must not
+  inherit another request's deadline) and stores its answer only when
+  :func:`_cacheable` holds.  :meth:`get` is a plain probe that never
+  joins a flight.
 * **Transient-read tolerance** — an ``OSError`` while reading the disk
   tier is a miss (counted in ``read_errors``), not a reason to delete
   the artifact; only structurally invalid entries are invalidated.
@@ -46,8 +51,9 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
+from repro.budget import ComputeBudget
 from repro.errors import FormatError, ReproError
 from repro.io import (
     SCHEMA_VERSION,
@@ -75,9 +81,17 @@ PathLike = Union[str, Path]
 #: Name of the shared tier's append-only compute commit log.
 COMMIT_LOG_NAME = "commits.log"
 
-#: A ``store`` predicate: return False to keep a result out of the cache
-#: (deadline-degraded partials must never be served to later requests).
-StorePredicate = Optional[Callable[[RiskAssessment], bool]]
+def _cacheable(assessment: RiskAssessment, budget: ComputeBudget | None) -> bool:
+    """Whether a computed answer may enter the cache.
+
+    A budget-free answer always does.  A partial answer never does; nor
+    does one whose budget ran out: the exact and attack stages drop
+    their result on exhaustion and the recipe still answers, without an
+    enrichment a budget-free run reports.
+    """
+    if budget is None:
+        return True
+    return not (assessment.partial or budget.expired() or budget.cancelled())
 
 
 class _Flight:
@@ -164,73 +178,76 @@ class AssessmentCache:
     def get(self, fingerprint: str) -> RiskAssessment | None:
         """The cached assessment for *fingerprint*, or ``None`` on a miss.
 
-        Concurrent ``get`` calls for the same fingerprint share one disk
-        read (single flight); a ``get`` arriving while another thread is
-        computing the same fingerprint through :meth:`get_or_compute`
-        waits for — and shares — that thread's result.
+        A plain memory-then-disk probe: it never waits on or joins a
+        compute another thread has in flight.
         """
-        assessment, _ = self._lookup(fingerprint, compute=None)
+        with self._lock:
+            assessment = self._memory_hit(fingerprint)
+        if assessment is None:
+            assessment = self._disk_hit(fingerprint)
+        if assessment is None:
+            with self._lock:
+                self._stats["misses"] += 1
         return assessment
 
     def get_or_compute(
-        self, fingerprint: str, compute: Callable[[], RiskAssessment]
-    ) -> tuple[RiskAssessment, str]:
-        """Return the cached value or compute-and-insert it, single-flight.
-
-        Exactly one thread runs *compute* per in-flight fingerprint;
-        concurrent callers block and share the leader's result (or its
-        exception — the request is deterministic, so theirs would have
-        failed identically).  With ``shared=True`` the same guarantee
-        extends across replica processes through the lease protocol.
-        Returns ``(assessment, origin)`` with *origin* one of
-        ``"memory"``, ``"disk"``, ``"coalesced"`` or ``"computed"``.
-        """
-        assessment, origin = self._lookup(fingerprint, compute=compute)
-        return assessment, origin
-
-    def compute_shared(
         self,
         fingerprint: str,
         compute: Callable[[], RiskAssessment],
-        timeout_seconds: float | None = None,
-        store: StorePredicate = None,
+        budget: ComputeBudget | None = None,
     ) -> tuple[RiskAssessment, str]:
-        """Cross-process-coordinated compute for deadline-bearing requests.
+        """Return the cached value or compute-and-insert it.
 
-        Deadline-bearing misses deliberately skip the in-process flight
-        rendezvous (sharing another request's computation would mean
-        inheriting someone else's deadline) — but they can still share
-        the *artifact* another replica is producing: poll the disk path
-        while a live lease exists, for at most *timeout_seconds*, then
-        compute locally.  *store* decides whether the result enters the
-        cache (partial results must stay out); waiters poll the artifact
-        path, so a withheld partial simply lets the next waiter take the
-        lease and try with its own budget.
+        Without a *budget* the lookup is single-flight: exactly one
+        thread reads disk or runs *compute* per in-flight fingerprint,
+        and concurrent callers block and share the leader's result (or
+        its exception — the request is deterministic, so theirs would
+        have failed identically).
+
+        With a *budget* — any budget, deadline or not — the in-process
+        flight is skipped (sharing another request's computation would
+        mean inheriting someone else's deadline), the wait for another
+        replica's lease is bounded by ``budget.remaining_seconds()``,
+        and a computed answer is stored only when :func:`_cacheable`
+        holds.
+
+        With ``shared=True`` cold computes are single-flighted across
+        replica processes through the lease protocol.  Returns
+        ``(assessment, origin)`` with *origin* one of ``"memory"``,
+        ``"disk"``, ``"coalesced"`` or ``"computed"``.
         """
+        leading: _Flight | None = None
+        following: _Flight | None = None
         with self._lock:
-            cached = self._memory.get(fingerprint)
+            cached = self._memory_hit(fingerprint)
             if cached is not None:
-                self._memory.move_to_end(fingerprint)
-                self._stats["hits"] += 1
-                self._stats["memory_hits"] += 1
                 return cached, "memory"
-        assessment = self._read_disk(fingerprint)
-        if assessment is not None:
+            if budget is None:
+                following = self._flights.get(fingerprint)
+                if following is None:
+                    leading = self._flights[fingerprint] = _Flight()
+        if following is not None:
+            following.event.wait()
+            if following.error is not None:
+                raise following.error
+            assert following.value is not None  # a leader that returned set it
             with self._lock:
                 self._stats["hits"] += 1
-                self._stats["disk_hits"] += 1
-                self._store_memory(fingerprint, assessment)
-            return assessment, "disk"
-        if not self.shared:
+                self._stats["coalesced"] += 1
+            return following.value, "coalesced"
+        if leading is None:
+            return self._fill(fingerprint, compute, budget)
+        try:
+            assessment, origin = self._fill(fingerprint, compute, None)
+            leading.value = assessment
+            return assessment, origin
+        except BaseException as exc:
+            leading.error = exc
+            raise
+        finally:
             with self._lock:
-                self._stats["misses"] += 1
-            assessment = compute()
-            self._maybe_store(fingerprint, assessment, store)
-            return assessment, "computed"
-        deadline = (
-            None if timeout_seconds is None else time.monotonic() + timeout_seconds
-        )
-        return self._shared_compute(fingerprint, compute, deadline, store)
+                self._flights.pop(fingerprint, None)
+            leading.event.set()
 
     def put(self, fingerprint: str, assessment: RiskAssessment) -> None:
         """Insert (or refresh) an assessment under *fingerprint*.
@@ -322,75 +339,54 @@ class AssessmentCache:
 
     # -- internals --------------------------------------------------------
 
-    def _lookup(
-        self, fingerprint: str, compute: Callable[[], RiskAssessment] | None
-    ) -> tuple[RiskAssessment | None, str]:
-        while True:
-            with self._lock:
-                cached = self._memory.get(fingerprint)
-                if cached is not None:
-                    self._memory.move_to_end(fingerprint)
-                    self._stats["hits"] += 1
-                    self._stats["memory_hits"] += 1
-                    return cached, "memory"
-                flight = self._flights.get(fingerprint)
-                if flight is None:
-                    flight = _Flight()
-                    self._flights[fingerprint] = flight
-                    break  # this thread leads the flight
-            # Follower: wait for the leader's result.
-            flight.event.wait()
-            if flight.error is not None:
-                if compute is None:
-                    # A plain probe doesn't inherit the leader's failure.
-                    with self._lock:
-                        self._stats["misses"] += 1
-                    return None, "miss"
-                raise flight.error
-            if flight.value is not None:
-                with self._lock:
-                    self._stats["hits"] += 1
-                    self._stats["coalesced"] += 1
-                return flight.value, "coalesced"
-            if compute is None:
-                with self._lock:
-                    self._stats["misses"] += 1
-                return None, "miss"
-            # The leader was a plain get() that missed; loop around and
-            # lead a new flight to compute.
-            continue
+    def _memory_hit(self, fingerprint: str) -> RiskAssessment | None:
+        """Memory-tier probe, counted as a hit when found; caller holds ``_lock``."""
+        cached = self._memory.get(fingerprint)
+        if cached is not None:
+            self._memory.move_to_end(fingerprint)
+            self._stats["hits"] += 1
+            self._stats["memory_hits"] += 1
+        return cached
 
-        try:
-            assessment = self._read_disk(fingerprint)
-            if assessment is not None:
-                with self._lock:
-                    self._stats["hits"] += 1
-                    self._stats["disk_hits"] += 1
-                    self._store_memory(fingerprint, assessment)
-                origin = "disk"
-            elif compute is None:
-                with self._lock:
-                    self._stats["misses"] += 1
-                origin = "miss"
-            elif self.shared:
-                assessment, origin = self._shared_compute(
-                    fingerprint, compute, deadline=None, store=None
-                )
-            else:
-                with self._lock:
-                    self._stats["misses"] += 1
-                assessment = compute()
-                self._maybe_store(fingerprint, assessment, store=None)
-                origin = "computed"
-            flight.value = assessment
-            return assessment, origin
-        except BaseException as exc:
-            flight.error = exc
-            raise
-        finally:
+    def _disk_hit(self, fingerprint: str) -> RiskAssessment | None:
+        """Disk-tier probe, promoted to memory and counted when found."""
+        assessment = self._read_disk(fingerprint)
+        if assessment is not None:
             with self._lock:
-                self._flights.pop(fingerprint, None)
-            flight.event.set()
+                self._stats["hits"] += 1
+                self._stats["disk_hits"] += 1
+                self._store_memory(fingerprint, assessment)
+        return assessment
+
+    def _fill(
+        self,
+        fingerprint: str,
+        compute: Callable[[], RiskAssessment],
+        budget: ComputeBudget | None,
+    ) -> tuple[RiskAssessment, str]:
+        """Answer a memory miss from disk, another replica, or *compute*."""
+        assessment = self._disk_hit(fingerprint)
+        if assessment is not None:
+            return assessment, "disk"
+        if self.shared:
+            return self._shared_compute(fingerprint, compute, budget)
+        return self._compute_and_store(fingerprint, compute, budget), "computed"
+
+    def _compute_and_store(
+        self,
+        fingerprint: str,
+        compute: Callable[[], RiskAssessment],
+        budget: ComputeBudget | None,
+    ) -> RiskAssessment:
+        """Count one miss, run *compute*, and store what may be cached."""
+        with self._lock:
+            self._stats["misses"] += 1
+        assessment = compute()
+        if _cacheable(assessment, budget):
+            with self._lock:
+                self._store_memory(fingerprint, assessment)
+            self._write_disk(fingerprint, assessment)
+        return assessment
 
     def _store_memory(self, fingerprint: str, assessment: RiskAssessment) -> None:
         self._memory[fingerprint] = assessment
@@ -399,33 +395,23 @@ class AssessmentCache:
             self._memory.popitem(last=False)
             self._stats["evictions"] += 1
 
-    def _maybe_store(
-        self, fingerprint: str, assessment: RiskAssessment, store: StorePredicate
-    ) -> None:
-        """Insert a computed result into both tiers unless *store* vetoes."""
-        if store is not None and not store(assessment):
-            return
-        with self._lock:
-            self._store_memory(fingerprint, assessment)
-        self._write_disk(fingerprint, assessment)
-
     # -- cross-process single-flight (shared tier) ------------------------
 
     def _shared_compute(
         self,
         fingerprint: str,
         compute: Callable[[], RiskAssessment],
-        deadline: float | None,
-        store: StorePredicate,
+        budget: ComputeBudget | None,
     ) -> tuple[RiskAssessment, str]:
         """Lease-coordinated cold-path compute against the shared tier.
 
         Loop: poll the artifact (another replica may have finished),
         race for the lease, classify a held lease (live waiters back
-        off; stale leases are taken over).  *deadline* — a
-        ``time.monotonic`` instant — bounds how long a waiter backs off;
-        past it the request computes locally, because answering late is
-        worse than occasionally answering twice.
+        off; stale leases are taken over).  *budget*'s remaining time
+        bounds how long a waiter backs off; past it the request computes
+        locally, because answering late is worse than occasionally
+        answering twice.  A withheld (uncacheable) answer simply lets
+        the next waiter take the lease and try with its own budget.
         """
         lease_path = self._lease_path(fingerprint)
         delay = 0.004
@@ -445,15 +431,11 @@ class AssessmentCache:
                         with self._lock:
                             self._stats["lease_takeovers"] += 1
                 elif state.kind == LeaseState.HELD:
-                    remaining = (
-                        None if deadline is None else deadline - time.monotonic()
-                    )
+                    remaining = None if budget is None else budget.remaining_seconds()
                     if remaining is not None and remaining <= 0:
                         with self._lock:
                             self._stats["lease_timeouts"] += 1
-                            self._stats["misses"] += 1
-                        assessment = compute()
-                        self._maybe_store(fingerprint, assessment, store)
+                        assessment = self._compute_and_store(fingerprint, compute, budget)
                         return assessment, "computed"
                     time.sleep(delay if remaining is None else min(delay, remaining))
                     delay = min(delay * 2, 0.05)
@@ -470,8 +452,7 @@ class AssessmentCache:
                     return assessment, "coalesced"
                 with self._lock:
                     self._stats["lease_acquired"] += 1
-                    self._stats["misses"] += 1
-                return self._compute_with_lease(fingerprint, compute, lease, store)
+                return self._compute_with_lease(fingerprint, compute, lease, budget)
 
     def _coalesce_from_disk(self, fingerprint: str) -> RiskAssessment | None:
         """Serve another replica's committed artifact, if it is there."""
@@ -489,9 +470,9 @@ class AssessmentCache:
         fingerprint: str,
         compute: Callable[[], RiskAssessment],
         lease: Lease,
-        store: StorePredicate,
+        budget: ComputeBudget | None,
     ) -> tuple[RiskAssessment, str]:
-        """Run *compute* while heartbeating the held *lease*.
+        """Compute and store while heartbeating the held *lease*.
 
         The artifact is durably written **before** the lease is
         released, so a waiter that observes a missing lease finds the
@@ -504,13 +485,12 @@ class AssessmentCache:
         """
         lease.start_heartbeat(max(0.05, self.lease_stale_seconds / 4.0))
         try:
-            assessment = compute()
+            assessment = self._compute_and_store(fingerprint, compute, budget)
         except BaseException as exc:
             lease.stop_heartbeat()
             if isinstance(exc, Exception):
                 lease.release()
             raise
-        self._maybe_store(fingerprint, assessment, store)
         lease.release()
         return assessment, "computed"
 

@@ -122,17 +122,6 @@ def _fingerprints(
     )
 
 
-def _cacheable(assessment: RiskAssessment, budget: ComputeBudget) -> bool:
-    """Whether a deadline-bearing answer may enter the cache.
-
-    A partial answer never does.  Nor does one whose budget ran out: the
-    exact and attack stages drop their result on exhaustion and the
-    recipe still answers, without an enrichment a budget-free run
-    reports.
-    """
-    return not (assessment.partial or budget.expired() or budget.cancelled())
-
-
 class AssessmentEngine:
     """Cached, intermediate-sharing executor of the Assess-Risk recipe.
 
@@ -225,20 +214,12 @@ class AssessmentEngine:
     ) -> tuple[RiskAssessment, bool]:
         """The one cache/compute decision; returns ``(assessment, cached)``.
 
-        Without a budget the lookup is single-flight: concurrent
-        requests for the same fingerprint (e.g. simultaneous HTTP hits)
-        run one computation and share its result instead of racing.
-
-        Budgets are deliberately *not* part of the fingerprint — the
-        answer to a question does not depend on how long the client was
-        willing to wait — so a deadline-bearing request still hits the
-        cache; but it skips the in-process flight rendezvous (sharing
-        another request's computation would mean inheriting someone
-        else's deadline), and an answer computed by a request whose
-        budget ran out is never cached (see :func:`_cacheable`).  On a
-        shared tier it still coordinates across replicas: another
-        process's in-progress artifact is awaited for up to the
-        remaining budget.
+        One call to :meth:`AssessmentCache.get_or_compute`.  Budgets are
+        deliberately *not* part of the fingerprint — the answer to a
+        question does not depend on how long the client was willing to
+        wait — so a deadline-bearing request still hits the cache; the
+        cache decides what its budget changes (no in-process flight, a
+        bounded lease wait, no storing an answer whose budget ran out).
 
         The breaker wraps the whole compute, *retries* included, so it
         counts one failure per request or batch slot.
@@ -255,17 +236,9 @@ class AssessmentEngine:
         def guarded() -> RiskAssessment:
             return self.breaker.call(compute)
 
-        if budget is None:
-            assessment, origin = self.cache.get_or_compute(fingerprint, guarded)
-        else:
-            assessment, origin = self.cache.compute_shared(
-                fingerprint,
-                guarded,
-                timeout_seconds=budget.remaining_seconds(),
-                store=lambda result: _cacheable(result, budget),
-            )
-            if origin == "computed" and assessment.partial:
-                self.metrics.increment("partial_results")
+        assessment, origin = self.cache.get_or_compute(fingerprint, guarded, budget)
+        if origin == "computed" and assessment.partial:
+            self.metrics.increment("partial_results")
         cached = origin != "computed"
         if cached:
             self.metrics.increment("cache_hits")

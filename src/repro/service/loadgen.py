@@ -524,7 +524,7 @@ def run_cell(
     hits = sum(int(s["cache"]["hits"]) for s in snapshots)
     misses = sum(int(s["cache"]["misses"]) for s in snapshots)
     coalesced = sum(int(s["cache"]["coalesced"]) for s in snapshots)
-    total_lookups = hits + misses
+    lookups = hits + misses
     return CellResult(
         replicas=len(pool.ports),
         connections=connections,
@@ -534,7 +534,7 @@ def run_cell(
         p50_ms=_percentile(latencies, 0.50) * 1000.0,
         p99_ms=_percentile(latencies, 0.99) * 1000.0,
         shed_rate=shed / requests if requests else 0.0,
-        cache_hit_ratio=hits / total_lookups if total_lookups else 0.0,
+        cache_hit_ratio=hits / lookups if lookups else 0.0,
         coalesce_count=coalesced,
         client_errors=stats.errors,
         statuses=dict(stats.statuses),

@@ -254,15 +254,39 @@ class TestFaultSafetyRules:
 
 
 class TestUnbudgetedHotLoopRule:
+    """The per-loop budget criterion, enforced by FS005 on a whole program.
+
+    Each loop sits in a kernel module that the engine's deadline-bearing
+    entry point (``AssessmentEngine.assess_many``) calls without a budget,
+    so only the loop's own body can cover it.
+    """
+
+    ENTRY = (
+        "from {module} import run\n"
+        "class AssessmentEngine:\n"
+        "    def assess_many(self, jobs):\n"
+        "        run(jobs)\n"
+    )
+
+    def lint(self, source, module="repro.graph.fake", reached=True):
+        project = Project()
+        if reached:
+            project.add_source(
+                self.ENTRY.format(module=module),
+                path="src/repro/service/engine.py",
+                module="repro.service.engine",
+            )
+        path = "<memory>" if module is None else f"src/{module.replace('.', '/')}.py"
+        project.add_source(source, path=path, module=module)
+        return project.run()
+
     def test_unbudgeted_while_in_simulation_flagged(self):
         source = "def run(x):\n    while x > 0:\n        x -= 1\n"
-        assert "FS004" in rules_hit(
-            analyze_source(source, module="repro.simulation.fake")
-        )
+        assert "FS005" in rules_hit(self.lint(source, module="repro.simulation.fake"))
 
     def test_unbudgeted_while_in_graph_flagged(self):
         source = "def run(x):\n    while x > 0:\n        x -= 1\n"
-        assert "FS004" in rules_hit(analyze_source(source, module="repro.graph.fake"))
+        assert "FS005" in rules_hit(self.lint(source))
 
     def test_budget_name_in_loop_passes(self):
         source = (
@@ -271,8 +295,8 @@ class TestUnbudgetedHotLoopRule:
             "        budget.checkpoint()\n"
             "        x -= 1\n"
         )
-        assert "FS004" not in rules_hit(
-            analyze_source(source, module="repro.simulation.fake")
+        assert "FS005" not in rules_hit(
+            self.lint(source, module="repro.simulation.fake")
         )
 
     def test_poll_call_in_loop_passes(self):
@@ -282,35 +306,34 @@ class TestUnbudgetedHotLoopRule:
             "        quota.tick(1)\n"
             "        x -= 1\n"
         )
-        assert "FS004" not in rules_hit(
-            analyze_source(source, module="repro.graph.fake")
-        )
+        assert "FS005" not in rules_hit(self.lint(source))
 
     def test_shifted_range_for_loop_flagged(self):
         source = "def run(n):\n    for s in range(1 << n):\n        pass\n"
-        assert "FS004" in rules_hit(analyze_source(source, module="repro.graph.fake"))
+        assert "FS005" in rules_hit(self.lint(source))
 
     def test_plain_range_for_loop_passes(self):
         source = "def run(n):\n    for s in range(n):\n        pass\n"
-        assert "FS004" not in rules_hit(
-            analyze_source(source, module="repro.graph.fake")
-        )
+        assert "FS005" not in rules_hit(self.lint(source))
 
     def test_outside_hot_modules_passes(self):
+        """A loop no deadline-bearing entry reaches passes, in any module."""
         source = "def run(x):\n    while x > 0:\n        x -= 1\n"
-        for module in ("repro.service.engine", "repro.data.database", None):
-            assert "FS004" not in rules_hit(analyze_source(source, module=module))
+        for module in ("repro.graph.fake", "repro.data.database", None):
+            assert "FS005" not in rules_hit(
+                self.lint(source, module=module, reached=False)
+            )
 
     def test_audited_suppression_is_recorded(self):
         source = (
             "def run(x):\n"
-            "    while x > 0:  # repro-lint: disable=FS004 -- bounded by x\n"
+            "    while x > 0:  # repro-lint: disable=FS005 -- bounded by x\n"
             "        x -= 1\n"
         )
-        result = analyze_source(source, module="repro.graph.fake")
-        assert "FS004" not in rules_hit(result)
+        result = self.lint(source)
+        assert "FS005" not in rules_hit(result)
         assert any(
-            s.violation.rule == "FS004" and s.justification == "bounded by x"
+            s.violation.rule == "FS005" and s.justification == "bounded by x"
             for s in result.suppressed
         )
 
@@ -1045,7 +1068,7 @@ class TestChangedOnly:
         payload = _json.loads(capsys.readouterr().out)
         assert payload["files_scanned"] == 1
         assert payload["violation_counts"] == {"FS001": 1}
-        assert payload["flow"] is None  # changed-only implies --no-flow
+        assert payload["flow"] is None  # changed-only runs per-file rules only
 
     def test_changed_only_clean_exit_zero(self, tmp_path, monkeypatch, capsys):
         self._git(tmp_path, "init", "-q")

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.budget import ComputeBudget
 from repro.cli import build_serve_parser
 from repro.data.database import FrequencyProfile
 from repro.errors import ReproError
@@ -222,18 +223,33 @@ class TestSharedCache:
     def test_deadline_expiry_computes_locally(self, tmp_path):
         blocker = acquire_lease(tmp_path / "fp.lease")
         cache = AssessmentCache(directory=tmp_path, shared=True)
-        assessment, origin = cache.compute_shared(
-            "fp", _assessment, timeout_seconds=0.05
+        assessment, origin = cache.get_or_compute(
+            "fp", _assessment, budget=ComputeBudget(seconds=0.05)
         )
         assert origin == "computed"
         assert cache.stats()["lease_timeouts"] == 1
         blocker.release()
 
-    def test_store_predicate_withholds_partials(self, tmp_path):
-        cache = AssessmentCache(directory=tmp_path, shared=True)
-        assessment, origin = cache.compute_shared(
-            "fp", _assessment, store=lambda a: False
-        )
+    @pytest.mark.parametrize("shared", [False, True], ids=["unshared", "shared"])
+    @pytest.mark.parametrize(
+        "decision, expired",
+        [(Decision.INCONCLUSIVE, False), (Decision.DISCLOSE_POINT_VALUED, True)],
+        ids=["partial", "expired"],
+    )
+    def test_partial_or_expired_answer_is_not_stored(
+        self, tmp_path, shared, decision, expired
+    ):
+        cache = AssessmentCache(directory=tmp_path, shared=shared)
+        now = [0.0]
+        budget = ComputeBudget(seconds=60.0, clock=lambda: now[0])
+        answer = RiskAssessment(decision=decision, tolerance=0.9, n_items=4, g=3)
+
+        def compute():
+            if expired:
+                now[0] = 61.0  # the deadline passes during the compute
+            return answer
+
+        assessment, origin = cache.get_or_compute("fp", compute, budget=budget)
         assert origin == "computed"
         assert cache.get("fp") is None
         assert not (tmp_path / "fp.json").exists()
@@ -255,8 +271,8 @@ class TestSharedCache:
         survivor = AssessmentCache(
             directory=tmp_path, shared=True, lease_stale_seconds=0.2
         )
-        assessment, origin = survivor.compute_shared(
-            "fp", _assessment, timeout_seconds=5.0
+        assessment, origin = survivor.get_or_compute(
+            "fp", _assessment, budget=ComputeBudget(seconds=5.0)
         )
         assert origin == "computed"
         assert survivor.stats()["lease_takeovers"] == 1

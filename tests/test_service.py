@@ -132,6 +132,52 @@ class TestCache:
         assert cache.get("a") is not None and cache.get("c") is not None
         assert cache.stats()["evictions"] == 1
 
+    def _blocked_leader(self, cache, budget=None):
+        """Start a ``get_or_compute("fp")`` whose compute blocks until released."""
+        entered, release = threading.Event(), threading.Event()
+
+        def slow():
+            entered.set()
+            release.wait(5.0)
+            return self.assessment(0.3)
+
+        leader = threading.Thread(
+            target=cache.get_or_compute, args=("fp", slow, budget)
+        )
+        leader.start()
+        assert entered.wait(5.0)
+        return leader, release
+
+    def test_budget_without_deadline_still_skips_the_flight(self):
+        cache = AssessmentCache()
+        leader, release = self._blocked_leader(
+            cache, budget=ComputeBudget(max_sweeps=10**6)
+        )
+        try:
+            mine = self.assessment(0.7)
+            value, origin = cache.get_or_compute("fp", lambda: mine)
+        finally:
+            release.set()
+            leader.join(10.0)
+        assert not leader.is_alive()
+        assert origin == "computed" and value is mine
+        assert cache.stats()["coalesced"] == 0
+
+    def test_get_never_joins_an_inflight_compute(self):
+        cache = AssessmentCache()
+        leader, release = self._blocked_leader(cache)
+        try:
+            misses = cache.stats()["misses"]
+            start = time.perf_counter()
+            assert cache.get("fp") is None
+            elapsed = time.perf_counter() - start
+            assert cache.stats()["misses"] == misses + 1
+        finally:
+            release.set()
+            leader.join(10.0)
+        assert not leader.is_alive()
+        assert elapsed < 1.0, f"get waited {elapsed:.2f}s on an in-flight compute"
+
     def test_disk_persistence_across_instances(self, tmp_path):
         report = self.assessment()
         AssessmentCache(directory=tmp_path).put("deadbeef", report)
