@@ -162,7 +162,7 @@ def test_service_single_flight_dedup(report):
 
 
 def test_service_atomic_write_overhead(report, tmp_path):
-    """Disk-tier puts stay fast despite the temp-file + fsync + rename dance."""
+    """Disk-tier puts stay fast despite the temp-file + rename dance."""
     report_obj = assess_risk(load_benchmark("chess").profile, 0.05)
     cache = AssessmentCache(directory=tmp_path)
     writes = 200
@@ -177,7 +177,7 @@ def test_service_atomic_write_overhead(report, tmp_path):
     report(
         "service_atomic_write_overhead",
         [
-            f"{writes} atomic disk-tier puts (temp file + fsync + rename)",
+            f"{writes} atomic disk-tier puts (temp file + rename)",
             f"wall clock: {elapsed:7.3f} s ({writes / elapsed:7.1f} puts/s)",
             "no orphan temp files left behind",
         ],

@@ -428,7 +428,7 @@ def batch_main(argv: Sequence[str] | None = None) -> int:
 
         by_position: dict[int, object] = {}
         with injected_faults(schedule) if schedule is not None else nullcontext():
-            # One slot at a time, each durably checkpointed (when asked)
+            # One slot at a time, each atomically checkpointed (when asked)
             # before the next starts, so an interrupt loses at most one.
             for position, profile, params in pending:
                 [result] = engine.assess_many(

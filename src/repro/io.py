@@ -346,36 +346,39 @@ def save_json_atomic(
     path: PathLike,
     fault_point: Callable[[str, Path], None] | None = None,
 ) -> None:
-    """Write a serialized artifact so readers never see a torn file.
+    """Write a serialized artifact atomically, but not durably.
 
-    The payload goes to a ``<name>.<random>.tmp`` sibling first (fsynced,
-    so the rename is not reordered before the data reaches the disk) and
-    is then moved over *path* with :func:`os.replace` — atomic on POSIX.
-    A crash at any point leaves either the old artifact or an orphan
-    ``*.tmp`` file, never a half-written JSON document at *path*.
+    The payload is encoded once, written to a ``<name>.<random>.tmp``
+    sibling with one :func:`os.write` and moved over *path* with
+    :func:`os.replace` — atomic on POSIX.  A process that dies at any
+    point leaves the old artifact, the new one, or an orphan ``*.tmp``
+    file, never a half-written JSON document at *path*.  There is no
+    fsync: a power cut may leave an empty or missing artifact, which
+    readers treat as a miss.
 
     *fault_point*, when given, is called with ``("tmp", tmp_path)``
-    (inside the open temp file, before the JSON is written) and
-    ``("replace", tmp_path)`` (after the temp file is durable, before
-    the rename) — the hook the service layer's fault-injection harness
-    uses to simulate mid-write crashes and torn writes (the hook gets
-    the temp path so a ``torn_write`` rule can truncate it).
-    Ordinary exceptions clean the temp file up; a
-    :class:`BaseException` (e.g. an injected crash) leaves it behind,
+    (the temp file is still empty) and ``("replace", tmp_path)`` (it is
+    written and closed, before the rename) — the hook the service
+    layer's fault-injection harness uses to simulate mid-write crashes
+    and torn writes (the hook gets the temp path so a ``torn_write``
+    rule can truncate it).  Ordinary exceptions clean the temp file up;
+    a :class:`BaseException` (e.g. an injected crash) leaves it behind,
     exactly as a killed process would.
     """
     target = Path(path)
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
     handle_fd, tmp_name = tempfile.mkstemp(
         dir=target.parent, prefix=target.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(handle_fd, "w", encoding="utf-8") as handle:
+        try:
             if fault_point is not None:
                 fault_point("tmp", Path(tmp_name))
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+            view = memoryview(data)
+            while view:  # finish a short write rather than publish a torn file
+                view = view[os.write(handle_fd, view):]
+        finally:
+            os.close(handle_fd)
         if fault_point is not None:
             fault_point("replace", Path(tmp_name))
         os.replace(tmp_name, target)

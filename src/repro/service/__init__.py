@@ -33,7 +33,7 @@ directory are its one multi-process path:
 * :mod:`repro.service.loadgen` — the replayable load harness behind
   ``repro-loadgen`` and the tracked ``BENCH_service.json`` trajectory.
 * :mod:`repro.service.faults` — deterministic fault injection (errors,
-  crashes, latency, ENOSPC, fsync failures, torn writes, clock skew)
+  crashes, latency, ENOSPC, torn writes, clock skew)
   for testing the layer's failure semantics.
 * :mod:`repro.service.supervisor` — replica lifecycle management:
   health probing, restart with exponential backoff + jitter, crash-loop

@@ -10,10 +10,11 @@ being deserialized into the wrong shape.
 Durability and concurrency guarantees (see ``docs/service.md``,
 "Failure semantics"):
 
-* **Atomic disk writes** — entries are written to a same-directory temp
-  file and moved into place with ``os.replace``; a reader (or a process
-  restarted after a crash) can never observe a truncated artifact.
-  Orphan ``*.tmp`` files left by a crash are swept — and counted as
+* **Atomic, not durable, disk writes** — entries are written to a
+  same-directory temp file and moved into place with ``os.replace``; a
+  process that dies can never leave a truncated artifact (no fsync: a
+  power cut may leave an empty one, which reads as a miss).  Orphan
+  ``*.tmp`` files left by a crash are swept — and counted as
   ``invalidated`` — the next time a cache opens the directory.
 * **Single-flight lookups** — :meth:`get_or_compute` is the one
   lookup-and-compute path.  Without a budget it deduplicates concurrent
@@ -35,7 +36,7 @@ Durability and concurrency guarantees (see ``docs/service.md``,
   as ``coalesced`` when it lands.  A replica that dies mid-compute
   leaves a lease whose heartbeat goes quiet; waiters take it over once
   it is stale.
-* **Commit log** — in shared mode every durably written artifact also
+* **Commit log** — in shared mode every written artifact also
   appends one line (``<fingerprint> <pid>``) to ``commits.log`` in the
   cache directory, strictly *after* the atomic rename.  The chaos
   verifier proves "exactly one cold compute per fingerprint" from this
@@ -474,7 +475,7 @@ class AssessmentCache:
     ) -> tuple[RiskAssessment, str]:
         """Compute and store while heartbeating the held *lease*.
 
-        The artifact is durably written **before** the lease is
+        The artifact is renamed into place **before** the lease is
         released, so a waiter that observes a missing lease finds the
         artifact on its next poll.  An ordinary exception releases the
         lease (the computation is deterministic — a waiter retrying it
@@ -534,7 +535,7 @@ class AssessmentCache:
         return self.directory / COMMIT_LOG_NAME
 
     def _log_commit(self, fingerprint: str) -> None:
-        """Durably record that this process committed *fingerprint*.
+        """Record that this process committed *fingerprint*.
 
         One ``O_APPEND`` line (``<fingerprint> <pid>``, well under
         ``PIPE_BUF`` so the append is atomic) written only **after**

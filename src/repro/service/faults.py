@@ -15,9 +15,6 @@ on a deterministic schedule:
 * ``enospc`` — raise ``OSError(ENOSPC)``, modelling a full disk at a
   write site (the cache treats it as a survivable write error: the
   result is still answered, just not cached);
-* ``fsync_error`` — raise ``OSError(EIO)``, modelling an fsync that
-  reports the data never reached stable storage (fires naturally at
-  ``cache.write.replace``, after the payload was written);
 * ``torn_write`` — truncate the in-progress file at ``truncate_at``
   bytes and then crash, leaving exactly the half-written debris a
   power cut leaves (only path-aware sites — ``cache.write.*`` — can
@@ -34,8 +31,9 @@ Instrumented sites
 site                      fired
 ========================  ====================================================
 ``cache.read``            before a disk-tier read in ``AssessmentCache``
-``cache.write.tmp``       inside the temp file, before the JSON is written
-``cache.write.replace``   after the temp file is durable, before ``os.replace``
+``cache.write.tmp``       on the empty temp file, before the JSON is written
+``cache.write.replace``   after the temp file is written and closed, before
+                          ``os.replace``
 ``cache.lease``           before every ``*.lease`` acquisition attempt in the
                           shared cache tier (crash here ≈ a replica dying at
                           the moment it wins the cross-process race)
@@ -104,7 +102,7 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-ACTIONS = ("error", "crash", "delay", "enospc", "fsync_error", "torn_write", "clock_skew")
+ACTIONS = ("error", "crash", "delay", "enospc", "torn_write", "clock_skew")
 
 #: Exception types a rule may raise by name.  Deliberately small: the
 #: service layer's retry logic classifies anything outside ReproError as
@@ -304,10 +302,6 @@ class FaultInjector:
             if raising.action == "enospc":
                 raise OSError(
                     errno.ENOSPC, f"{raising.message} (injected at {site})"
-                )
-            if raising.action == "fsync_error":
-                raise OSError(
-                    errno.EIO, f"{raising.message} (injected at {site})"
                 )
             raise EXCEPTIONS[raising.exception](
                 f"{raising.message} (injected at {site})"

@@ -12,7 +12,7 @@ from four kinds of evidence left behind:
    (deadline-degraded results must never be cached).
 2. **The commit log** (``commits.log``, see
    :class:`~repro.service.cache.AssessmentCache`).  One appended line
-   per durably committed cold compute, written strictly after the
+   per committed cold compute, written strictly after the
    artifact's atomic rename — so a fingerprint appearing twice means
    two processes both computed *and* both committed: a single-flight
    violation no kill window can excuse.  Every logged fingerprint must

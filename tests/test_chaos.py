@@ -77,21 +77,12 @@ def _canonical(assessment: RiskAssessment) -> str:
 
 
 class TestNewFaultActions:
-    def test_enospc_and_fsync_error_carry_errnos(self):
-        injector = FaultInjector(
-            [
-                FaultRule(site="disk", action="enospc"),
-                FaultRule(site="sync", action="fsync_error"),
-            ]
-        )
+    def test_enospc_carries_errno(self):
+        injector = FaultInjector([FaultRule(site="disk", action="enospc")])
         with pytest.raises(OSError) as enospc:
             injector.fire("disk")
         assert enospc.value.errno == errno.ENOSPC
-        with pytest.raises(OSError) as eio:
-            injector.fire("sync")
-        assert eio.value.errno == errno.EIO
-        injector.fire("disk")  # both rules exhausted
-        injector.fire("sync")
+        injector.fire("disk")  # rule exhausted
 
     def test_torn_write_truncates_then_crashes(self, tmp_path):
         victim = tmp_path / "artifact.tmp"

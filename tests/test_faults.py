@@ -24,7 +24,14 @@ import pytest
 
 from repro.data import FrequencyProfile, TransactionDatabase, write_fimi
 from repro.errors import FormatError, ReproError
-from repro.io import SCHEMA_VERSION, load_json, profile_to_json, save_json
+from repro.io import (
+    SCHEMA_VERSION,
+    assessment_to_json,
+    load_json,
+    profile_to_json,
+    save_json,
+    save_json_atomic,
+)
 from repro.recipe import assess_risk
 from repro.service import (
     AssessmentCache,
@@ -65,6 +72,8 @@ class TestFaultRule:
     def test_validation(self):
         with pytest.raises(ReproError):
             FaultRule(site="x", action="explode")
+        with pytest.raises(ReproError):
+            FaultRule(site="x", action="fsync_error")
         with pytest.raises(ReproError):
             FaultRule(site="x", exception="SegFault")
         with pytest.raises(ReproError):
@@ -192,6 +201,30 @@ class TestCrashSafeWrites:
         assert len(orphans) == 1 and orphans[0].read_text() == ""
         assert AssessmentCache(directory=tmp_path).recover_orphans() == 0  # init swept
 
+    def test_artifact_is_the_canonical_encoding(self, tmp_path):
+        payload = {
+            "type": "cached_assessment",
+            "schema_version": SCHEMA_VERSION,
+            "fingerprint": "ab",
+            "assessment": assessment_to_json(tiny_assessment()),
+        }
+        save_json_atomic(payload, tmp_path / "ab.json")
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "ab.json").read_bytes() == expected.encode("utf-8")
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_replace_hook_sees_the_whole_closed_temp_file(self, tmp_path):
+        """What a ``torn_write`` at ``cache.write.replace`` tears is real content."""
+        payload = {"type": "x", "values": list(range(50))}
+        seen = {}
+        save_json_atomic(
+            payload,
+            tmp_path / "x.json",
+            fault_point=lambda stage, tmp: seen.setdefault(stage, tmp.read_bytes()),
+        )
+        expected = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert seen == {"tmp": b"", "replace": expected}
+
     def test_write_error_is_tolerated_and_counted(self, tmp_path):
         cache = AssessmentCache(directory=tmp_path)
         report = tiny_assessment()
@@ -221,6 +254,7 @@ class TestCorruptDiskEntries:
         "mutate",
         [
             lambda text: text[: len(text) // 2],  # truncated mid-JSON
+            lambda text: "",  # empty: a power cut after an un-fsynced rename
             lambda text: "{not json",  # garbage
             lambda text: json.dumps({"type": "something_else"}),  # wrong type
             lambda text: json.dumps(  # wrong shape: missing assessment keys
@@ -232,7 +266,7 @@ class TestCorruptDiskEntries:
                 }
             ),
         ],
-        ids=["truncated", "garbage", "wrong-type", "wrong-shape"],
+        ids=["truncated", "empty", "garbage", "wrong-type", "wrong-shape"],
     )
     def test_bad_entry_is_clean_miss_and_invalidated(self, tmp_path, mutate):
         AssessmentCache(directory=tmp_path).put("ff", tiny_assessment())
