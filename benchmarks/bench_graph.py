@@ -1,9 +1,7 @@
 """Graph-engine benchmarks: Ryser vs block decomposition vs interval DP.
 
 Measures the structure-exploiting exact engine against the historical
-Ryser-only path across domain sizes, the attacker-workbench solver as an
-``exact_strategy(preprocess=True)`` front end (forced pairs peeled off,
-forbidden edges deleted, blocks re-split), the twin-quotient edge
+Ryser-only path across domain sizes, the twin-quotient edge
 classification of frequency spaces against the item-graph one, the vectorized
 O-estimate against the per-item loop, the array-built frequency groups and
 space analysis against their per-item construction, plus the vectorized Gibbs
@@ -35,7 +33,7 @@ from repro.graph import (
     exact_strategy,
     space_from_frequencies,
 )
-from repro.graph.permanent import ryser_int_python as _ryser
+from repro.graph.kernels import ryser_int_python as _ryser
 from repro.graph.refine import classify_adjacency, classify_edges, reduced_blocks
 from repro.simulation.gibbs import GibbsAssignmentSampler
 
@@ -120,100 +118,6 @@ def bench_block_ryser(sizes, check: bool) -> list[dict]:
             f"E[X]={row['expected_cracks']:9.4f}  block={marg_s:8.4f}s"
             + (f"  ryser={row['ryser_count_s']:8.4f}s" if "ryser_count_s" in row else "")
         )
-    return rows
-
-
-def staircase_instance(n: int):
-    """Figure 6(a) scaled to ``n`` items: adjacency row ``i`` is ``0..i``.
-
-    Degree-1 propagation alone cracks every item, so the preprocessed
-    plan needs no permanent at all (``largest_block == 0``) while the
-    plain plan sees one connected component of size ``n``.
-    """
-    from repro.graph import ExplicitMappingSpace
-
-    return ExplicitMappingSpace(
-        items=tuple(range(n)),
-        anonymized=tuple(f"{i}'" for i in range(n)),
-        adjacency=[list(range(i + 1)) for i in range(n)],
-        true_partner_of=list(range(n)),
-    )
-
-
-def chained_pairs_instance(n: int):
-    """Figure 6(b) tiled into one connected component of size ``n``.
-
-    Consecutive item pairs ``{2i, 2i+1}`` share the candidate columns
-    ``{2i, 2i+1}``; every even item past the first also carries a bridge
-    edge into the previous pair. Each pair is a tight Hall set, so the
-    solver deletes every bridge and the component shatters into blocks
-    of two — the plain plan keeps a single size-``n`` block that Ryser
-    cannot touch beyond n=22.
-    """
-    from repro.graph import ExplicitMappingSpace
-
-    assert n % 2 == 0
-    adjacency = []
-    for i in range(n):
-        if i % 2 == 0:
-            adjacency.append([i - 1, i, i + 1] if i > 0 else [i, i + 1])
-        else:
-            adjacency.append([i - 1, i])
-    return ExplicitMappingSpace(
-        items=tuple(range(n)),
-        anonymized=tuple(f"{i}'" for i in range(n)),
-        adjacency=adjacency,
-        true_partner_of=list(range(n)),
-    )
-
-
-def bench_solver_preprocess(sizes, check: bool) -> list[dict]:
-    instances = [
-        ("staircase", staircase_instance),
-        ("chained-pairs", chained_pairs_instance),
-    ]
-    rows = []
-    for name, build in instances:
-        for n in sizes:
-            space = build(n)
-            plain, plain_s = time_call(exact_strategy, space)
-            pre, pre_s = time_call(exact_strategy, space, preprocess=True)
-            row = {
-                "instance": name,
-                "n": n,
-                "plain_strategy": plain.strategy,
-                "plain_largest_block": plain.largest_block,
-                "plain_plan_s": plain_s,
-                "pre_strategy": pre.strategy,
-                "pre_largest_block": pre.largest_block,
-                "pre_plan_s": pre_s,
-                "forced_pairs": pre.forced_pairs,
-                "forbidden_edges": pre.forbidden_edges,
-                "largest_block_shrank": pre.largest_block < plain.largest_block,
-            }
-            _, pre_count_s = time_call(count_matchings_exact, space, preprocess=True)
-            row["pre_count_s"] = pre_count_s
-            if n <= RYSER_TIMING_CAP:
-                plain_count, plain_count_s = time_call(count_matchings_exact, space)
-                pre_count = count_matchings_exact(space, preprocess=True)
-                row["plain_count_s"] = plain_count_s
-                row["count_agrees"] = pre_count == plain_count
-                if check:
-                    assert pre_count == plain_count, (
-                        f"{name} n={n}: preprocessed count {pre_count} != {plain_count}"
-                    )
-            if check:
-                assert pre.preprocessed and pre.feasible and pre.matchable
-                assert pre.largest_block < plain.largest_block, (
-                    f"{name} n={n}: largest block {pre.largest_block} did not "
-                    f"shrink below {plain.largest_block}"
-                )
-            rows.append(row)
-            print(
-                f"  {name:14s} n={n:5d}  largest block {plain.largest_block:4d} -> "
-                f"{pre.largest_block:3d}  forced={pre.forced_pairs:4d} "
-                f"forbidden={pre.forbidden_edges:5d}  count={pre_count_s:8.4f}s"
-            )
     return rows
 
 
@@ -549,14 +453,14 @@ def legacy_block_expected(space) -> float:
 def bench_kernels(smoke: bool, check: bool) -> dict:
     """Before/after trajectory for the vectorized exact kernels.
 
-    Three headline rows: chunked numpy Ryser vs the pure-Python walk on
-    single matrices, the batched block engine vs the per-block loop on
+    Three headline rows: ``permanent_batch`` on one matrix (the chunked
+    numpy walk from n = 10) vs the pure-Python walk, the batched block engine vs the per-block loop on
     the n=200 explicit workload, and a 20-tolerance assessment sweep
     with and without the DP/engine memo layer.
     """
     from repro.data.database import FrequencyProfile
     from repro.graph.intervaldp import clear_dp_memo
-    from repro.graph.kernels import ryser_int_chunked
+    from repro.graph.kernels import permanent_batch
     from repro.io import assessment_to_json
     from repro.service.engine import AssessmentEngine
 
@@ -565,7 +469,7 @@ def bench_kernels(smoke: bool, check: bool) -> dict:
     for n in (8, 10, 12) if smoke else (12, 14, 16, 18):
         matrix = rng.integers(0, 2, size=(n, n))
         pure, pure_s = time_call(_ryser, matrix)
-        vec, vec_s = time_call(ryser_int_chunked, matrix)
+        (vec,), vec_s = time_call(permanent_batch, [matrix])
         if check:
             assert pure == vec, f"n={n}: chunked Ryser {vec} != pure {pure}"
         chunked_rows.append(
@@ -690,10 +594,6 @@ def main(argv=None) -> int:
     block_rows = bench_block_ryser(
         (10, 12) if args.smoke else (12, 50, 200), check=True
     )
-    print("solver preprocessing (attacker workbench front end):")
-    preprocess_rows = bench_solver_preprocess(
-        (6, 10) if args.smoke else (12, 50, 200), check=True
-    )
     print("edge classification (twin quotient vs item graph):")
     classify_rows = bench_classify(
         (50, 200) if args.smoke else (200, 1000, 5000), with_pumsb=not args.smoke, check=True
@@ -728,7 +628,6 @@ def main(argv=None) -> int:
         "schema": 1,
         "interval_dp": engine_rows,
         "block_ryser": block_rows,
-        "solver_preprocess": preprocess_rows,
         "classify": classify_rows,
         "oestimate": oestimate_rows,
         "space": space_rows,

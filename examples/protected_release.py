@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.data import FrequencyGroups
 from repro.graph import space_from_frequencies
-from repro.io import assessment_to_json, save_json
+from repro.io import assessment_to_json, save_json_atomic
 
 TAU = 0.1
 
@@ -79,7 +79,7 @@ def main() -> None:
     protected_report = assess_risk(protected, TAU, rng=rng)
     print("\nprotected release:")
     print(protected_report.summary())
-    save_json(assessment_to_json(protected_report), "protected_assessment.json")
+    save_json_atomic(assessment_to_json(protected_report), "protected_assessment.json")
     print("decision filed to protected_assessment.json")
 
 

@@ -698,6 +698,28 @@ def _default_bench_path():
     return Path(repro.__file__).resolve().parent.parent.parent / "BENCH_service.json"
 
 
+#: The full run that regenerates each section of ``BENCH_service.json``.
+_BENCH_SECTION_SOURCES = {"trajectory": "repro-loadgen", "chaos": "repro-chaos"}
+
+
+def _committed_bench_report(output, sections: Sequence[str]) -> dict | None:
+    """The committed service benchmark at *output*, or ``None`` (after
+    printing why) when it is missing or lacks one of *sections*."""
+    if not output.exists():
+        print(f"error: {output} is not committed", file=sys.stderr)
+        return None
+    report = json.loads(output.read_text())
+    for section in sections:
+        if not report.get(section):
+            print(
+                f"error: {output} lacks a {section} section — regenerate "
+                f"with a full {_BENCH_SECTION_SOURCES[section]} run",
+                file=sys.stderr,
+            )
+            return None
+    return report
+
+
 def loadgen_main(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``repro-loadgen``; returns a process exit code."""
     import tempfile
@@ -795,23 +817,8 @@ def loadgen_main(argv: Sequence[str] | None = None) -> int:
 
     output = _default_bench_path() if args.output is None else Path(args.output)
     if args.smoke:
-        if not output.exists():
-            print(f"error: {output} is not committed", file=sys.stderr)
-            return 1
-        report = json.loads(output.read_text())
-        if not report.get("trajectory"):
-            print(
-                f"error: {output} lacks a trajectory section — regenerate "
-                "with a full repro-loadgen run",
-                file=sys.stderr,
-            )
-            return 1
-        if not report.get("chaos"):
-            print(
-                f"error: {output} lacks a chaos section — regenerate "
-                "with a full repro-chaos run",
-                file=sys.stderr,
-            )
+        report = _committed_bench_report(output, ("trajectory", "chaos"))
+        if report is None:
             return 1
         print(
             f"smoke OK: served over real sockets; committed {output.name} has "
@@ -1039,16 +1046,8 @@ def chaos_main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 1
-        if not output.exists():
-            print(f"error: {output} is not committed", file=sys.stderr)
-            return 1
-        report = json.loads(output.read_text())
-        if not report.get("chaos"):
-            print(
-                f"error: {output} lacks a chaos section — regenerate "
-                "with a full repro-chaos run",
-                file=sys.stderr,
-            )
+        report = _committed_bench_report(output, ("chaos",))
+        if report is None:
             return 1
         print(
             f"smoke OK: {delivered_kills} kills survived; committed "

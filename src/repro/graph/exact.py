@@ -23,15 +23,11 @@ integers, so wherever Ryser is also feasible the two agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import GraphError, InfeasibleMatchingError
-
-if TYPE_CHECKING:
-    from repro.graph.refine import EdgeClassification
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
 from repro.graph.blocks import Block, BlockDecomposition, decompose
 from repro.graph.groups import BlockProblem
@@ -42,6 +38,7 @@ from repro.graph.intervaldp import (
     class_placement_totals,
     crack_law,
 )
+from repro.graph.kernels import permanent_batch
 
 __all__ = [
     "ExactPlan",
@@ -64,8 +61,6 @@ STRATEGY_BLOCK_RYSER = "block-ryser"
 STRATEGY_INTERVAL_DP = "interval-dp"
 STRATEGY_BLOCK_INTERVAL_DP = "block-interval-dp"
 STRATEGY_INFEASIBLE = "infeasible"
-#: Solver preprocessing decided every edge — nothing left to count.
-STRATEGY_PROPAGATION = "propagation"
 
 
 @dataclass(frozen=True)
@@ -93,20 +88,6 @@ class ExactPlan:
         subsets), so plans for the same space always compare equal.
     reason:
         Why the plan is infeasible / unmatchable, when it is.
-    preprocessed:
-        True when solver preprocessing (:mod:`repro.graph.refine`) ran:
-        forced pairs and forbidden edges were peeled off before block
-        decomposition, which preserves the permanent and the surviving
-        marginals exactly.
-    forced_pairs:
-        Edges present in every perfect matching (removed as solved
-        1x1 subproblems), when preprocessed.
-    forbidden_edges:
-        Edges present in no perfect matching (deleted), when
-        preprocessed.
-    largest_block_raw:
-        Largest block of the *unpreprocessed* decomposition, recorded so
-        the reduction is auditable; ``None`` when not preprocessed.
     """
 
     strategy: str
@@ -119,10 +100,6 @@ class ExactPlan:
     block_strategies: tuple[str, ...]
     cost_hint: float
     reason: str | None = None
-    preprocessed: bool = False
-    forced_pairs: int = 0
-    forbidden_edges: int = 0
-    largest_block_raw: int | None = None
 
 
 def _frequency_block_problem(
@@ -163,31 +140,13 @@ def _dp_cost_hint(
     return len(capacities) * min(states, 10**9) * min(transitions, 10**9)
 
 
-def exact_strategy(
-    space: MappingSpace,
-    limit: int | None = None,
-    preprocess: bool = False,
-    budget: DPBudget = DEFAULT_BUDGET,
-) -> ExactPlan:
+def exact_strategy(space: MappingSpace) -> ExactPlan:
     """Inspect a space and pick the exact engine for each block.
 
-    With ``preprocess=True``, the solver's edge classification
-    (:func:`repro.graph.refine.classify_edges`) first peels off forced
-    pairs and forbidden edges — a permanent-preserving reduction — and
-    the plan is drawn over the *reduced* blocks whenever that helps (it
-    always does for explicit spaces; frequency spaces keep the interval
-    DP unless the reduction rescues an otherwise infeasible plan).  The
-    reduction is recorded in the plan's ``forced_pairs`` /
-    ``forbidden_edges`` / ``largest_block_raw`` fields.
+    Frequency blocks run the interval DP (labelled ``"ryser"`` when
+    the planner's cost model prices a Ryser walk cheaper); explicit
+    blocks run batched Ryser up to ``RYSER_BLOCK_LIMIT`` items.
     """
-    plain = _plain_strategy(space, limit)
-    if not preprocess:
-        return plain
-    return _preprocessed_strategy(space, plain, limit, budget)
-
-
-def _plain_strategy(space: MappingSpace, limit: int | None = None) -> ExactPlan:
-    limit = RYSER_BLOCK_LIMIT if limit is None else int(limit)
     decomposition = decompose(space)
     if not decomposition.matchable:
         return ExactPlan(
@@ -216,13 +175,13 @@ def _plain_strategy(space: MappingSpace, limit: int | None = None) -> ExactPlan:
         if problems is not None:
             capacities, classes, width = problems[index]
             hint = _dp_cost_hint(capacities, classes, width)
-            if block.n > limit or hint <= block.n * 2**block.n:
+            if block.n > RYSER_BLOCK_LIMIT or hint <= block.n * 2**block.n:
                 block_strategies.append(STRATEGY_INTERVAL_DP)
                 cost += hint * max(len(classes), 1)
             else:
                 block_strategies.append(STRATEGY_RYSER)
                 cost += block.n**2 * 2**block.n
-        elif block.n <= limit:
+        elif block.n <= RYSER_BLOCK_LIMIT:
             block_strategies.append(STRATEGY_RYSER)
             cost += block.n**2 * 2**block.n
         else:
@@ -230,7 +189,7 @@ def _plain_strategy(space: MappingSpace, limit: int | None = None) -> ExactPlan:
             feasible = False
             reason = (
                 f"a {block.n}-item block has no structure the exact engine "
-                f"can exploit (Ryser limit {limit})"
+                f"can exploit (Ryser limit {RYSER_BLOCK_LIMIT})"
             )
     strategy = (
         STRATEGY_INFEASIBLE
@@ -258,127 +217,17 @@ def _overall_name(space: MappingSpace, decomposition: BlockDecomposition) -> str
     return STRATEGY_BLOCK_RYSER if many else STRATEGY_RYSER
 
 
-def _classify(space: MappingSpace, budget: DPBudget) -> "EdgeClassification":
-    from repro.graph.refine import classify_edges
-
-    return classify_edges(space, budget=budget.compute)
-
-
-def _preprocessed_strategy(
-    space: MappingSpace, plain: ExactPlan, limit: int | None, budget: DPBudget
-) -> ExactPlan:
-    """Re-plan over the solver-reduced blocks, recording the reduction."""
-    from repro.graph.refine import reduced_blocks
-
-    limit = RYSER_BLOCK_LIMIT if limit is None else int(limit)
-    if not plain.matchable:
-        return replace(plain, preprocessed=True, largest_block_raw=plain.largest_block)
-    classification = _classify(space, budget)
-    if classification.infeasible:
-        return replace(
-            plain,
-            strategy=STRATEGY_INFEASIBLE,
-            matchable=False,
-            block_strategies=(),
-            cost_hint=0,
-            reason=classification.reason,
-            preprocessed=True,
-            forbidden_edges=classification.n_forbidden,
-            largest_block_raw=plain.largest_block,
-        )
-    blocks = reduced_blocks(classification)
-    block_strategies: list[str] = []
-    cost = 0
-    feasible = True
-    reason = None
-    for block in blocks:
-        if block.n <= limit:
-            block_strategies.append(STRATEGY_RYSER)
-            cost += block.n**2 * 2**block.n
-        else:
-            block_strategies.append(STRATEGY_INFEASIBLE)
-            feasible = False
-            reason = (
-                f"a {block.n}-item reduced block still exceeds the Ryser "
-                f"limit ({limit})"
-            )
-    if not blocks:
-        strategy = STRATEGY_PROPAGATION
-    elif not feasible:
-        strategy = STRATEGY_INFEASIBLE
-    else:
-        strategy = STRATEGY_BLOCK_RYSER if len(blocks) > 1 else STRATEGY_RYSER
-    reduced = ExactPlan(
-        strategy=strategy,
-        feasible=feasible,
-        matchable=True,
-        n=space.n,
-        n_blocks=len(blocks),
-        largest_block=max((block.n for block in blocks), default=0),
-        block_sizes=tuple(block.n for block in blocks),
-        block_strategies=tuple(block_strategies),
-        cost_hint=cost,
-        reason=reason,
-        preprocessed=True,
-        forced_pairs=classification.n_forced,
-        forbidden_edges=classification.n_forbidden,
-        largest_block_raw=plain.largest_block,
-    )
-    if isinstance(space, FrequencyMappingSpace) and plain.feasible:
-        # The interval DP survives edge removal only in spirit, not in
-        # structure, so a feasible DP plan is kept unless the reduction
-        # plan is strictly cheaper; the reduction stats still ride along.
-        if not reduced.feasible or reduced.cost_hint >= plain.cost_hint:
-            return replace(
-                reduced,
-                strategy=plain.strategy,
-                feasible=plain.feasible,
-                n_blocks=plain.n_blocks,
-                largest_block=plain.largest_block,
-                block_sizes=plain.block_sizes,
-                block_strategies=plain.block_strategies,
-                cost_hint=plain.cost_hint,
-                reason=plain.reason,
-            )
-    return reduced
-
-
 # -- per-block engines -------------------------------------------------------
 
 
 def _block_adjacency(space: MappingSpace, block: Block) -> np.ndarray:
     anon_local = {j: r for r, j in enumerate(block.anon_indices)}
-    # Integer dtype keeps `permanent` on its exact Python-int path.
+    # Integer dtype keeps `permanent_batch` on its exact int64 walk.
     matrix = np.zeros((len(block.anon_indices), len(block.item_indices)), dtype=np.int64)
     for c, i in enumerate(block.item_indices):
         for j in space.candidates(i):
             matrix[anon_local[j], c] = 1
     return matrix
-
-
-def _batched_permanents(matrices: list[np.ndarray], budget: DPBudget) -> list[int]:
-    """Exact permanents of small integral block matrices, batched by shape.
-
-    Equal-shape matrices (the common case: a decomposed space yields many
-    blocks of one size, and every item minor inside a block shares one
-    shape) are evaluated in a single 3-D tensor Gray-code pass
-    (:func:`repro.graph.kernels.permanent_batch`) instead of one Python
-    Ryser walk each.  Results are bit-identical to per-matrix
-    :func:`repro.graph.permanent.permanent` on connected blocks.
-    """
-    from repro.graph.kernels import permanent_batch
-
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for index, matrix in enumerate(matrices):
-        by_shape.setdefault(matrix.shape, []).append(index)
-    results = [0] * len(matrices)
-    for indices in by_shape.values():
-        values = permanent_batch(
-            [matrices[i] for i in indices], budget=budget.compute
-        )
-        for i, value in zip(indices, values):
-            results[i] = value
-    return results
 
 
 def _frequency_block_count(problem: BlockProblem, budget: DPBudget) -> tuple[int, int]:
@@ -391,51 +240,14 @@ def _frequency_block_count(problem: BlockProblem, budget: DPBudget) -> tuple[int
     return assignments, matchings
 
 
-def _classification_matrix(
-    classification: "EdgeClassification", block: Block
-) -> np.ndarray:
-    """Undecided-subgraph adjacency matrix of one reduced block."""
-    anon_local = {j: r for r, j in enumerate(block.anon_indices)}
-    matrix = np.zeros((len(block.anon_indices), len(block.item_indices)), dtype=np.int64)
-    for c, i in enumerate(block.item_indices):
-        for j in classification.undecided[i]:
-            matrix[anon_local[j], c] = 1
-    return matrix
-
-
-def count_matchings_exact(
-    space: MappingSpace,
-    limit: int | None = None,
-    budget: DPBudget = DEFAULT_BUDGET,
-    preprocess: bool = False,
-) -> int:
+def count_matchings_exact(space: MappingSpace, budget: DPBudget = DEFAULT_BUDGET) -> int:
     """The number of consistent crack mappings, as an exact integer.
 
     Equals the permanent of the adjacency matrix, computed as a product
-    over blocks — interval DP on frequency blocks, Ryser on small
-    explicit ones.  Raises :class:`~repro.errors.GraphError` when some
-    block is beyond every engine.  With ``preprocess=True``, forced
-    pairs and forbidden edges are peeled off first (the permanent is
-    invariant under both removals) and Ryser runs over the reduced
-    blocks only.
+    over blocks — interval DP on frequency blocks, batched Ryser on
+    small explicit ones.  Raises :class:`~repro.errors.GraphError` when
+    some block is beyond every engine.
     """
-    limit = RYSER_BLOCK_LIMIT if limit is None else int(limit)
-    if preprocess:
-        from repro.graph.refine import reduced_blocks
-
-        classification = _classify(space, budget)
-        if classification.infeasible:
-            return 0
-        matrices = []
-        for block in reduced_blocks(classification):
-            _require_ryser_block(block, limit)
-            matrices.append(_classification_matrix(classification, block))
-        total = 1
-        for matchings in _batched_permanents(matrices, budget):
-            if matchings == 0:
-                return 0
-            total *= matchings
-        return total
     decomposition = decompose(space)
     if not decomposition.matchable:
         return 0
@@ -449,20 +261,20 @@ def count_matchings_exact(
         return total
     explicit_matrices = []
     for block in decomposition.blocks:
-        _require_ryser_block(block, limit)
+        _require_ryser_block(block)
         explicit_matrices.append(_block_adjacency(space, block))
-    for matchings in _batched_permanents(explicit_matrices, budget):
+    for matchings in permanent_batch(explicit_matrices, budget=budget.compute):
         if matchings == 0:
             return 0
         total *= matchings
     return total
 
 
-def _require_ryser_block(block: Block, limit: int) -> None:
-    if block.n > limit:
+def _require_ryser_block(block: Block) -> None:
+    if block.n > RYSER_BLOCK_LIMIT:
         raise GraphError(
             f"a {block.n}-item explicit block exceeds the Ryser limit "
-            f"({limit}); no exact strategy applies — use the O-estimate "
+            f"({RYSER_BLOCK_LIMIT}); no exact strategy applies — use the O-estimate "
             "or the simulator"
         )
 
@@ -513,15 +325,16 @@ def _explicit_marginals_batched(
     marginals: np.ndarray,
     budget: DPBudget,
 ) -> None:
-    """Fill marginals for explicit blocks, batching equal-shape permanents.
+    """Fill marginals for explicit blocks, batching equal-size permanents.
 
     Each block needs its total permanent plus one minor permanent per
     item whose true edge survives; totals and minors across *all* blocks
-    are grouped by shape and evaluated in single tensor passes — for a
-    decomposed space with many same-size blocks this replaces hundreds
-    of scalar Ryser walks with a handful of batched ones.
+    go to :func:`~repro.graph.kernels.permanent_batch`, which evaluates
+    each size in one tensor pass — for a decomposed space with many
+    same-size blocks this replaces hundreds of scalar Ryser walks with a
+    handful of batched ones.
     """
-    totals = _batched_permanents([m for _, m in block_matrices], budget)
+    totals = permanent_batch([m for _, m in block_matrices], budget=budget.compute)
     minor_items: list[tuple[int, int]] = []  # (block index, item index)
     minors: list[np.ndarray] = []
     for b, (block, matrix) in enumerate(block_matrices):
@@ -535,54 +348,20 @@ def _explicit_marginals_batched(
                 continue
             minor_items.append((b, i))
             minors.append(np.delete(np.delete(matrix, row, axis=0), c, axis=1))
-    for (b, i), value in zip(minor_items, _batched_permanents(minors, budget)):
+    for (b, i), value in zip(minor_items, permanent_batch(minors, budget=budget.compute)):
         marginals[i] = value / totals[b]  # repro-lint: disable=EX002 -- probability boundary: exact-count ratio becomes P(crack)
 
 
-def _classified_marginals(
-    space: MappingSpace,
-    classification: "EdgeClassification",
-    marginals: np.ndarray,
-    limit: int,
-    budget: DPBudget,
-) -> None:
-    """Marginals over the solver-reduced blocks (plus the forced pairs)."""
-    from repro.graph.refine import reduced_blocks
-
-    for i, j in classification.forced.items():
-        if space.true_partner(i) == j:
-            marginals[i] = 1  # a forced true edge is a certain crack
-    block_matrices = []
-    for block in reduced_blocks(classification):
-        _require_ryser_block(block, limit)
-        block_matrices.append((block, _classification_matrix(classification, block)))
-    if block_matrices:
-        _explicit_marginals_batched(space, block_matrices, marginals, budget)
-
-
 def crack_marginals_exact(
-    space: MappingSpace,
-    limit: int | None = None,
-    budget: DPBudget = DEFAULT_BUDGET,
-    preprocess: bool = False,
+    space: MappingSpace, budget: DPBudget = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Exact per-item crack probabilities, block by block.
 
     Raises :class:`~repro.errors.InfeasibleMatchingError` when no
     consistent matching exists and :class:`~repro.errors.GraphError`
-    when some block defeats every exact engine.  With
-    ``preprocess=True``, forced true edges contribute marginal 1
-    directly and Ryser minors run over the reduced blocks only (forbidden
-    edges never carry probability mass, so the reduction is exact).
+    when some block defeats every exact engine.
     """
-    limit = RYSER_BLOCK_LIMIT if limit is None else int(limit)
     marginals = np.zeros(space.n, dtype=np.float64)  # repro-lint: disable=EX004 -- probability boundary: output array of P(crack)
-    if preprocess:
-        classification = _classify(space, budget)
-        if classification.infeasible:
-            raise InfeasibleMatchingError("no consistent perfect matching exists")
-        _classified_marginals(space, classification, marginals, limit, budget)
-        return marginals
     decomposition = decompose(space)
     if not decomposition.matchable:
         raise InfeasibleMatchingError("no consistent perfect matching exists")
@@ -591,26 +370,21 @@ def crack_marginals_exact(
         return marginals
     explicit: list[tuple[Block, np.ndarray]] = []
     for block in decomposition.blocks:
-        _require_ryser_block(block, limit)
+        _require_ryser_block(block)
         explicit.append((block, _block_adjacency(space, block)))
     if explicit:
         _explicit_marginals_batched(space, explicit, marginals, budget)
     return marginals
 
 
-def expected_cracks_exact(
-    space: MappingSpace,
-    limit: int | None = None,
-    budget: DPBudget = DEFAULT_BUDGET,
-    preprocess: bool = False,
-) -> float:
+def expected_cracks_exact(space: MappingSpace, budget: DPBudget = DEFAULT_BUDGET) -> float:
     """Exact ``E[X]`` by the direct method, structure-exploiting.
 
     Extends :func:`repro.graph.permanent.expected_cracks_direct` beyond
     the Ryser cap: linearity makes ``E[X]`` the sum of per-block
     marginal sums, each computed by the block's engine.
     """
-    return float(crack_marginals_exact(space, limit=limit, budget=budget, preprocess=preprocess).sum())  # repro-lint: disable=EX004 -- public float API edge
+    return float(crack_marginals_exact(space, budget=budget).sum())  # repro-lint: disable=EX004 -- public float API edge
 
 
 def _enumerate_block_law(
@@ -670,9 +444,7 @@ def _frequency_block_law(
 
 
 def crack_distribution_exact(
-    space: MappingSpace,
-    limit: int | None = None,
-    budget: DPBudget = DEFAULT_BUDGET,
+    space: MappingSpace, budget: DPBudget = DEFAULT_BUDGET
 ) -> np.ndarray:
     """Exact law ``P(X = k)`` of the crack count, block-convolved.
 
@@ -691,12 +463,12 @@ def crack_distribution_exact(
             try:
                 block_law = _frequency_block_law(space, block, budget)
             except GraphError:
-                if block.n <= (ENUMERATION_BLOCK_LIMIT if limit is None else limit):
+                if block.n <= ENUMERATION_BLOCK_LIMIT:
                     block_law = _enumerate_block_law(space, block, budget=budget)
                 else:
                     raise
         else:
-            if block.n > (ENUMERATION_BLOCK_LIMIT if limit is None else limit):
+            if block.n > ENUMERATION_BLOCK_LIMIT:
                 raise GraphError(
                     f"enumerating a {block.n}-item explicit block is infeasible "
                     f"(limit {ENUMERATION_BLOCK_LIMIT}); only frequency blocks "

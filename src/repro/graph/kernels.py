@@ -5,32 +5,30 @@ with Gray-code subset iteration, every add and multiply executed as
 Python bytecode on arbitrary-precision ints.  Exact, but the interpreter
 overhead (``~2n`` bytecode ops per subset) dominates the arithmetic.
 
-:func:`ryser_int_chunked` evaluates the same ``2^n - 1`` subsets in
-fixed-size batches: a chunk of Gray-code steps becomes one ``(C, n)``
-signed column-update matrix, the running row sums become a single
-``np.cumsum``, and the per-subset products collapse to ``np.prod`` calls
-over row *segments*.  The exact-int invariant survives vectorization
-through two guards:
+:func:`permanent_batch` is the one integer Ryser entry.  It groups its
+square matrices by size and evaluates each group's ``2^n - 1`` subsets
+in fixed-size chunks with a leading block axis: a chunk of Gray-code
+steps becomes one ``(C, blocks, n)`` signed column-update tensor, the
+running row sums become a single ``np.cumsum``, and the per-subset
+products collapse to ``np.prod`` calls over row *segments*.  The chunk
+work amortizes over every block of a group at once, so the small
+explicit blocks a decomposed space produces share one tensor pass.
+The exact-int invariant survives vectorization through two guards:
 
-* **int64 fast path** — per-row bounds ``R_i = Σ_j |a_ij|`` cap every
-  possible row sum; rows are greedily packed into segments whose bound
-  product stays below ``2^62``, so each segment's ``np.prod`` can never
-  overflow a signed 64-bit lane.
+* **int64 fast path** — per-row bounds ``R_i = Σ_j |a_ij|`` (the
+  maximum over the group) cap every possible row sum; rows are greedily
+  packed into segments whose bound product stays below ``2^62``, so
+  each segment's ``np.prod`` can never overflow a signed 64-bit lane.
 * **exact combination** — segment products are multiplied and the chunk
   is summed in Python ints (object dtype) unless the whole chunk
   provably fits int64; the grand total across chunks is always a Python
   int.
 
-When a single row's bound already exceeds 62 bits (astronomical
-entries), the kernel falls back to the pure-Python reference — the
-fast path is an optimization, never a semantics change, and the tests
-pin bit-identity between the two.
-
-:func:`permanent_batch` extends the same walk with a leading block axis:
-equal-shape integral matrices (the small explicit blocks a decomposed
-space produces) share one 3-D tensor pass instead of a per-block Python
-loop — the win compounds with the per-subset vectorization because the
-chunk work amortizes over every block at once.
+Groups too small to amortize numpy setup (fewer than ``2^10`` subsets
+times blocks), matrices whose entries have no exact int64 form, and
+groups where a single row's bound already exceeds 62 bits take the
+pure-Python reference instead — the fast path is an optimization, never
+a semantics change, and the tests pin bit-identity between the two.
 """
 
 from __future__ import annotations
@@ -42,9 +40,6 @@ from repro.errors import GraphError
 
 __all__ = [
     "CHUNK_SUBSETS",
-    "CHUNKED_MIN_N",
-    "ryser_int",
-    "ryser_int_chunked",
     "ryser_int_python",
     "permanent_batch",
 ]
@@ -55,14 +50,11 @@ __all__ = [
 #: (chunk x blocks x n int64) stays inside L2.
 CHUNK_SUBSETS = 1024
 
-#: Below this matrix size the 2^n walk is too short to amortize numpy
-#: setup and the pure-Python loop wins (measured crossover n≈9–10).
-CHUNKED_MIN_N = 10
-
-#: A *batched* walk amortizes over the block axis too, so it pays off
-#: whenever blocks x subsets reaches the single-matrix crossover's
-#: subset count (2^10), provided the per-step tensors aren't degenerate.
-BATCH_MIN_SUBSETS = 1 << CHUNKED_MIN_N
+#: A single matrix's 2^n walk is too short to amortize numpy setup below
+#: n = 10 (measured crossover n≈9–10), and a batched walk amortizes over
+#: the block axis too, so the chunked walk runs once blocks x subsets
+#: reaches 2^10, provided the per-step tensors aren't degenerate.
+BATCH_MIN_SUBSETS = 1 << 10
 BATCH_MIN_N = 6
 
 #: Signed products must stay clear of int64 overflow; one bit of
@@ -235,97 +227,63 @@ def _gray_walk_chunked(
     return totals
 
 
-def ryser_int_chunked(
-    matrix: np.ndarray,
-    budget: ComputeBudget | None = None,
-    chunk: int = CHUNK_SUBSETS,
-) -> int:
-    """Single-matrix chunked Ryser, bit-identical to the reference.
-
-    Falls back to :func:`ryser_int_python` when the entries don't fit an
-    exact int64 representation or a single row's bound already exceeds
-    the overflow guard.
-    """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    if n == 0:
-        return 1
-    ints = _as_exact_int64(matrix)
-    if ints is None:
-        return ryser_int_python(matrix, budget=budget)
-    row_bounds = [int(v) for v in np.abs(ints.astype(object)).sum(axis=1)]
-    segments = _row_segments(row_bounds)
-    if segments is None:
-        return ryser_int_python(matrix, budget=budget)
-    return _gray_walk_chunked(ints[None, :, :], row_bounds, segments, budget, chunk)[0]
-
-
-def ryser_int(matrix: np.ndarray, budget: ComputeBudget | None = None) -> int:
-    """Exact single-block Ryser: chunked numpy kernel above the
-    size threshold, the pure-Python reference below it."""
-    matrix = np.asarray(matrix)
-    if matrix.shape[0] < CHUNKED_MIN_N:
-        return ryser_int_python(matrix, budget=budget)
-    return ryser_int_chunked(matrix, budget=budget)
-
-
 def permanent_batch(
     matrices: list[np.ndarray],
     budget: ComputeBudget | None = None,
     chunk: int = CHUNK_SUBSETS,
 ) -> list[int]:
-    """Exact permanents of equal-shape integral matrices, one tensor pass.
+    """Exact permanents of square integral matrices, one tensor pass per size.
 
-    All matrices must be square and share one shape — callers group by
-    shape first (see :func:`repro.graph.exact.count_matchings_exact`).
-    The Gray-code walk runs once with a leading block axis, so the
-    per-chunk numpy work is shared by every block.  Results are
-    bit-identical to per-matrix :func:`ryser_int_python`; matrices that
-    defeat the int64 guards are evaluated individually on the reference
-    path.
+    Matrices of any sizes may be mixed: they are grouped by size, in
+    order of first appearance, and each group's Gray-code walk runs once
+    with a leading block axis.  Results come back in input order and are
+    bit-identical to per-matrix :func:`ryser_int_python`.  A batch of one
+    takes the pure-Python walk below n = 10 and the chunked walk from
+    there on.
     """
-    if not matrices:
-        return []
     arrays = [np.asarray(m) for m in matrices]
-    shape = arrays[0].shape
-    for array in arrays:
+    by_size: dict[int, list[int]] = {}
+    for index, array in enumerate(arrays):
         if array.ndim != 2 or array.shape[0] != array.shape[1]:
             raise GraphError(
                 f"permanent_batch needs square matrices, got shape {array.shape}"
             )
-        if array.shape != shape:
-            raise GraphError(
-                f"permanent_batch needs equal shapes, got {array.shape} vs {shape}"
-            )
-    n = shape[0]
+        by_size.setdefault(array.shape[0], []).append(index)
+    results = [1] * len(arrays)
+    for n, indices in by_size.items():
+        values = _same_size_permanents(n, [arrays[i] for i in indices], budget, chunk)
+        for index, value in zip(indices, values):
+            results[index] = value
+    return results
+
+
+def _same_size_permanents(
+    n: int, arrays: list[np.ndarray], budget: ComputeBudget | None, chunk: int
+) -> list[int]:
+    """Permanents of ``n x n`` matrices: one chunked walk over those with
+    an exact int64 form, the reference for the rest."""
     if n == 0:
         return [1] * len(arrays)
-    exact: list[np.ndarray | None] = [_as_exact_int64(a) for a in arrays]
-    results: list[int | None] = [None] * len(arrays)
+    results = [0] * len(arrays)
     batched: list[tuple[int, np.ndarray]] = []
-    for index, ints in enumerate(exact):
+    for index, array in enumerate(arrays):
+        ints = _as_exact_int64(array)
         if ints is None:
-            results[index] = ryser_int_python(arrays[index], budget=budget)
+            results[index] = ryser_int_python(array, budget=budget)
         else:
             batched.append((index, ints))
-    if batched:
+    if n >= BATCH_MIN_N and (1 << n) * len(batched) >= BATCH_MIN_SUBSETS:
         stack = np.stack([ints for _, ints in batched])
         # A shared segmentation must be safe for every block: bound each
         # row by its maximum across the batch.
         bound_matrix = np.abs(stack.astype(object)).sum(axis=2)
         row_bounds = [int(v) for v in bound_matrix.max(axis=0)]
         segments = _row_segments(row_bounds)
-        too_small = (
-            n < BATCH_MIN_N or (1 << n) * len(batched) < BATCH_MIN_SUBSETS
-        )
-        if segments is None or too_small:
-            for index, ints in batched:
-                results[index] = ryser_int_python(ints, budget=budget)
-        else:
+        if segments is not None:
             walked = _gray_walk_chunked(stack, row_bounds, segments, budget, chunk)
             for (index, _), value in zip(batched, walked):
                 results[index] = value
-    missing = [i for i, value in enumerate(results) if value is None]
-    if missing:  # unreachable: every slot is assigned on one path above
-        raise GraphError(f"permanent_batch left slots {missing} unevaluated")
-    return [int(value) for value in results if value is not None]
+            return results
+    for index, ints in batched:
+        results[index] = ryser_int_python(ints, budget=budget)
+    return results

@@ -9,8 +9,9 @@ the library uses it: as ground truth to validate the O-estimate and the
 simulator in tests and ablations.
 
 * :func:`permanent` — Ryser's inclusion–exclusion formula with Gray-code
-  updates, ``O(2^n n)``; matrices beyond the Ryser cap are first split
-  into connected blocks (permanents multiply over blocks).
+  updates, ``O(2^n n)``; matrices beyond a few rows are first split
+  into connected blocks (permanents multiply over blocks), and integral
+  blocks go through :func:`repro.graph.kernels.permanent_batch`.
 * :func:`expected_cracks_direct` — exact ``E[X]`` as a sum of permanent
   ratios, dispatched through :mod:`repro.graph.exact` so interval-belief
   spaces with thousands of items stay exact.
@@ -28,7 +29,8 @@ import numpy as np
 from repro.budget import ComputeBudget
 from repro.errors import GraphError, InfeasibleMatchingError
 from repro.graph.bipartite import MappingSpace
-from repro.graph.kernels import ryser_int, ryser_int_python
+from repro.graph.blocks import _UnionFind
+from repro.graph.kernels import permanent_batch
 
 __all__ = [
     "permanent",
@@ -47,12 +49,6 @@ _ENUMERATION_LIMIT = 12
 #: matrix then pays per-block walks instead of one full-width walk).
 _SPLIT_MIN = 6
 
-#: Pure-Python exact-int Ryser (reference path, no block split).  Kept
-#: under the historical private name for tests and benchmarks; the
-#: production integral path dispatches through the vectorized
-#: :func:`repro.graph.kernels.ryser_int`.
-_ryser_int = ryser_int_python
-
 
 def _matrix_blocks(matrix: np.ndarray) -> list[tuple[list[int], list[int]]]:
     """Connected components of a matrix's nonzero structure.
@@ -61,26 +57,15 @@ def _matrix_blocks(matrix: np.ndarray) -> list[tuple[list[int], list[int]]]:
     and column counts forces the permanent to 0.
     """
     n = matrix.shape[0]
-    parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    uf = _UnionFind(2 * n)  # rows 0..n-1, columns n..2n-1
     rows, cols = np.nonzero(matrix)
     for r, c in zip(rows.tolist(), cols.tolist()):
-        rr, rc = find(r), find(n + c)
-        if rr != rc:
-            parent[rc] = rr
+        uf.union(r, n + c)
     components: dict[int, tuple[list[int], list[int]]] = {}
     for r in range(n):
-        components.setdefault(find(r), ([], []))[0].append(r)
+        components.setdefault(uf.find(r), ([], []))[0].append(r)
     for c in range(n):
-        components.setdefault(find(n + c), ([], []))[1].append(c)
+        components.setdefault(uf.find(n + c), ([], []))[1].append(c)
     return [components[key] for key in sorted(components)]
 
 
@@ -122,7 +107,7 @@ def permanent(
 
     def ryser(block: np.ndarray) -> int | float:
         if integral:
-            return ryser_int(block, budget=budget)
+            return permanent_batch([block], budget=budget)[0]
         return _ryser_float(block, budget=budget)
 
     if n == 0:

@@ -41,7 +41,6 @@ __all__ = [
     "json_int",
     "assessment_to_json",
     "assessment_from_json",
-    "save_json",
     "save_json_atomic",
     "load_json",
 ]
@@ -332,13 +331,6 @@ def assessment_from_json(payload: dict) -> RiskAssessment:
         else PartialEstimate.from_json(payload["partial_estimate"]),
         attack=_attack_from_json(payload.get("attack")),
     )
-
-
-def save_json(payload: dict, path: PathLike) -> None:
-    """Write a serialized artifact to disk (pretty-printed, stable order)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def save_json_atomic(

@@ -49,24 +49,15 @@ def _exact_marginals(
     result serves every subset (:func:`_exact_cracks`).
     """
     from repro.graph.exact import crack_marginals_exact, exact_strategy
-    from repro.graph.intervaldp import DEFAULT_BUDGET, DPBudget
+    from repro.graph.intervaldp import DPBudget
 
     plan = exact_strategy(space)
     if not plan.matchable:
         return np.zeros(space.n), plan.strategy
     if not plan.feasible or plan.cost_hint > EXACT_COST_BUDGET:
         return None, None
-    dp_budget = (
-        DEFAULT_BUDGET
-        if budget is None
-        else DPBudget(
-            max_states=DEFAULT_BUDGET.max_states,
-            max_ops=DEFAULT_BUDGET.max_ops,
-            compute=budget,
-        )
-    )
     try:
-        return crack_marginals_exact(space, budget=dp_budget), plan.strategy
+        return crack_marginals_exact(space, budget=DPBudget(compute=budget)), plan.strategy
     except BudgetExceeded:
         # Deadline hit inside the exact refinement: it is an optional
         # enrichment of the interval rung, so degrade to the O-estimate

@@ -203,21 +203,12 @@ def best_expected_cracks(
     accumulated so far.
     """
     from repro.graph.exact import exact_strategy, expected_cracks_exact
-    from repro.graph.intervaldp import DEFAULT_BUDGET, DPBudget
+    from repro.graph.intervaldp import DPBudget
 
     plan = exact_strategy(space)
     if plan.feasible and plan.cost_hint <= exact_budget:
-        dp_budget = (
-            DEFAULT_BUDGET
-            if budget is None
-            else DPBudget(
-                max_states=DEFAULT_BUDGET.max_states,
-                max_ops=DEFAULT_BUDGET.max_ops,
-                compute=budget,
-            )
-        )
         try:
-            return expected_cracks_exact(space, budget=dp_budget), 0.0, plan.strategy
+            return expected_cracks_exact(space, budget=DPBudget(compute=budget)), 0.0, plan.strategy
         except GraphError:
             pass  # DP budget blown mid-run: drop to the sampling rungs
         except BudgetExceeded:

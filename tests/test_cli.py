@@ -162,3 +162,31 @@ class TestCrackCli:
             ["--instance", str(instance), "--observations", str(feed)]
         ) == 1
         assert "observation" in capsys.readouterr().err
+
+
+class TestCommittedBenchReport:
+    """The ``--smoke`` check repro-loadgen and repro-chaos share."""
+
+    def test_missing_file_then_missing_section_then_ok(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import _committed_bench_report
+
+        path = tmp_path / "BENCH_service.json"
+        assert _committed_bench_report(path, ("chaos",)) is None
+        assert f"error: {path} is not committed" in capsys.readouterr().err
+        path.write_text(json.dumps({"trajectory": [{}], "chaos": []}))
+        assert _committed_bench_report(path, ("trajectory", "chaos")) is None
+        assert (
+            "lacks a chaos section — regenerate with a full repro-chaos run"
+            in capsys.readouterr().err
+        )
+        path.write_text(json.dumps({"chaos": [{}]}))
+        assert _committed_bench_report(path, ("trajectory",)) is None
+        assert (
+            "lacks a trajectory section — regenerate with a full repro-loadgen run"
+            in capsys.readouterr().err
+        )
+        report = {"trajectory": [{}], "chaos": [{}]}
+        path.write_text(json.dumps(report))
+        assert _committed_bench_report(path, ("trajectory", "chaos")) == report

@@ -38,7 +38,7 @@ from repro.graph.intervaldp import (
     class_pin_counts,
     class_placement_totals,
 )
-from repro.graph.permanent import ryser_int_python as _ryser
+from repro.graph.kernels import ryser_int_python as _ryser
 from repro.simulation import best_expected_cracks
 
 
@@ -225,25 +225,6 @@ class TestDispatcher:
         with pytest.raises(GraphError, match="Ryser limit"):
             count_matchings_exact(space)
 
-    def test_limit_override_unlocks_larger_blocks(self):
-        n = 25
-        space = ExplicitMappingSpace(
-            items=tuple(range(n)),
-            anonymized=tuple(f"{i}'" for i in range(n)),
-            # Two components: 13 + 12, each over the default per-test cost.
-            adjacency=[
-                list(range(13)) if i < 13 else list(range(13, n)) for i in range(n)
-            ],
-            true_partner_of=list(range(n)),
-        )
-        plan = exact_strategy(space, limit=12)
-        assert not plan.feasible
-        plan = exact_strategy(space, limit=13)
-        assert plan.feasible and plan.strategy == "block-ryser"
-        import math
-
-        assert count_matchings_exact(space, limit=13) == math.factorial(13) * math.factorial(12)
-
     def test_interval_dp_beyond_ryser_cap(self):
         """A 1,000-item interval domain: exact E[X] under 5 s (acceptance)."""
         rng = np.random.default_rng(5)
@@ -348,61 +329,3 @@ class TestBlockDecomposition:
         decomposition = decompose(space)
         assert not decomposition.matchable
         assert count_matchings_exact(space) == 0
-
-
-class TestSolverPreprocessing:
-    """exact_strategy(preprocess=True): the workbench shrinks the plan."""
-
-    def test_staircase_plan_is_pure_propagation(self, staircase_space):
-        plan = exact_strategy(staircase_space, preprocess=True)
-        assert plan.strategy == "propagation"
-        assert plan.preprocessed
-        assert plan.forced_pairs == 4
-        assert plan.forbidden_edges == 6
-        assert plan.largest_block == 0
-        assert plan.largest_block_raw == 4
-        assert plan.feasible and plan.matchable
-
-    def test_two_blocks_largest_block_strictly_shrinks(self, two_blocks_space):
-        plain = exact_strategy(two_blocks_space)
-        pre = exact_strategy(two_blocks_space, preprocess=True)
-        assert pre.preprocessed
-        assert pre.largest_block_raw == plain.largest_block
-        assert pre.largest_block < plain.largest_block
-        assert pre.forbidden_edges >= 1  # the (2', 3) edge of Figure 6(b)
-
-    def test_preprocessed_counts_and_marginals_agree(self, two_blocks_space):
-        space = two_blocks_space
-        assert count_matchings_exact(space, preprocess=True) == count_matchings_exact(space)
-        np.testing.assert_allclose(
-            crack_marginals_exact(space, preprocess=True),
-            crack_marginals_exact(space),
-        )
-        assert expected_cracks_exact(space, preprocess=True) == pytest.approx(
-            expected_cracks_exact(space)
-        )
-
-    def test_preprocessed_agrees_on_frequency_space(self, bigmart_space_h):
-        space = bigmart_space_h
-        plain = exact_strategy(space)
-        pre = exact_strategy(space, preprocess=True)
-        # The feasible interval-DP plan survives unless strictly beaten,
-        # but the reduction stats ride along either way.
-        assert pre.preprocessed
-        assert pre.largest_block_raw == plain.largest_block
-        assert count_matchings_exact(space, preprocess=True) == count_matchings_exact(space)
-        np.testing.assert_allclose(
-            crack_marginals_exact(space, preprocess=True),
-            crack_marginals_exact(space),
-        )
-
-    def test_infeasible_instance_reported(self):
-        space = ExplicitMappingSpace(
-            items=(1, 2, 3),
-            anonymized=("a", "b", "c"),
-            adjacency=[[0, 1], [0, 1], [0, 1]],
-            true_partner_of=[0, 1, 2],
-        )
-        plan = exact_strategy(space, preprocess=True)
-        assert not plan.matchable
-        assert plan.preprocessed

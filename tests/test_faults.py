@@ -29,7 +29,6 @@ from repro.io import (
     assessment_to_json,
     load_json,
     profile_to_json,
-    save_json,
     save_json_atomic,
 )
 from repro.recipe import assess_risk
@@ -150,7 +149,7 @@ class TestInjector:
             ]
         }
         path = tmp_path / "faults.json"
-        save_json(schedule, path)
+        save_json_atomic(schedule, path)
         injector = load_schedule(path)
         assert len(injector.rules) == 2
         assert injector.rules[0].times == 3

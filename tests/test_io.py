@@ -14,7 +14,7 @@ from repro.io import (
     load_json,
     profile_from_json,
     profile_to_json,
-    save_json,
+    save_json_atomic,
 )
 from repro.recipe import assess_risk
 
@@ -120,7 +120,7 @@ class TestAssessmentRoundtrip:
 class TestFiles:
     def test_save_and_load(self, tmp_path, belief_h):
         path = tmp_path / "belief.json"
-        save_json(belief_to_json(belief_h), path)
+        save_json_atomic(belief_to_json(belief_h), path)
         assert belief_from_json(load_json(path)) == belief_h
 
     def test_invalid_json_reported(self, tmp_path):

@@ -2,9 +2,10 @@
 
 Pins the contract of this change set:
 
-* the chunked numpy Ryser and the batched block kernel are bit-identical
-  to the pure-Python exact-int reference on every matrix class they
-  accept (random integral, zero blocks, negative, astronomically large);
+* ``permanent_batch`` (the chunked numpy Ryser with a block axis) is
+  bit-identical to the pure-Python exact-int reference on every matrix
+  class it accepts (random integral, zero blocks, negative,
+  astronomically large), for batches of one and of mixed sizes;
 * budgets cancel the chunked walk cooperatively mid-chunk;
 * the interval-DP memos never change a result, and
   ``sweep_tolerance`` is byte-identical with and without them; the
@@ -36,12 +37,7 @@ from repro.graph.intervaldp import (
     clear_dp_memo,
     dp_memo_stats,
 )
-from repro.graph.kernels import (
-    permanent_batch,
-    ryser_int,
-    ryser_int_chunked,
-    ryser_int_python,
-)
+from repro.graph.kernels import permanent_batch, ryser_int_python
 from repro.graph.permanent import permanent
 from repro.io import assessment_to_json
 from repro.memo import MISSING, BoundedLRU
@@ -84,30 +80,34 @@ def random_integral_matrices(seed: int):
 
 
 class TestChunkedRyser:
+    """Batches of one: the pure-Python walk below n = 10, the chunked
+    walk from there on, with the same int64-guard fallbacks."""
+
     def test_bit_identical_to_pure_python(self):
         for matrix in random_integral_matrices(seed=11):
-            assert ryser_int_chunked(matrix) == ryser_int_python(matrix)
+            assert permanent_batch([matrix]) == [ryser_int_python(matrix)]
 
     def test_dispatcher_matches_reference(self):
+        # `permanent`'s integral path hands each block to permanent_batch.
         for matrix in random_integral_matrices(seed=17):
-            assert ryser_int(matrix) == ryser_int_python(matrix)
+            assert permanent(matrix) == ryser_int_python(matrix)
 
     def test_object_dtype_fallback_is_exact(self):
         rng = np.random.default_rng(3)
         huge = rng.integers(1, 9, size=(10, 10)).astype(object) * 10**40
-        assert ryser_int_chunked(huge) == ryser_int_python(huge)
+        assert permanent_batch([huge]) == [ryser_int_python(huge)]
 
     def test_int64_segmentation_path_is_exact(self):
         rng = np.random.default_rng(5)
         wide = rng.integers(10**8, 10**9, size=(12, 12))
-        assert ryser_int_chunked(wide) == ryser_int_python(wide)
+        assert permanent_batch([wide]) == [ryser_int_python(wide)]
 
     def test_chunk_size_does_not_change_results(self):
         rng = np.random.default_rng(7)
         matrix = rng.integers(0, 2, size=(11, 11))
         reference = ryser_int_python(matrix)
         for chunk in (1, 3, 64, 1 << 11, 1 << 13):
-            assert ryser_int_chunked(matrix, chunk=chunk) == reference
+            assert permanent_batch([matrix], chunk=chunk) == [reference]
 
     def test_budget_cancels_mid_chunk(self):
         clock = FakeClock()
@@ -116,10 +116,10 @@ class TestChunkedRyser:
         rng = np.random.default_rng(9)
         matrix = rng.integers(0, 2, size=(14, 14))
         with pytest.raises(BudgetExceeded):
-            ryser_int_chunked(matrix, budget=budget)
+            permanent_batch([matrix], budget=budget)
 
     def test_empty_matrix(self):
-        assert ryser_int_chunked(np.zeros((0, 0), dtype=np.int64)) == 1
+        assert permanent_batch([np.zeros((0, 0), dtype=np.int64)]) == [1]
 
 
 class TestPermanentBatch:
@@ -144,9 +144,12 @@ class TestPermanentBatch:
         mats.append(rng.integers(1, 5, size=(9, 9)).astype(object) * 10**40)
         assert permanent_batch(mats) == [ryser_int_python(m) for m in mats]
 
-    def test_unequal_shapes_rejected(self):
-        with pytest.raises(GraphError, match="equal shapes"):
-            permanent_batch([np.ones((3, 3), dtype=np.int64), np.ones((4, 4), dtype=np.int64)])
+    def test_mixed_shapes_match_per_matrix_reference(self):
+        # Sizes 0..12 interleave, so each size group's results must land
+        # back in input order; the larger groups take the chunked walk.
+        mats = random_integral_matrices(seed=29)
+        assert len({m.shape for m in mats}) > 5
+        assert permanent_batch(mats) == [ryser_int_python(m) for m in mats]
 
     def test_non_square_rejected(self):
         with pytest.raises(GraphError, match="square"):
@@ -167,17 +170,15 @@ class TestPermanentBatch:
 
 class TestPermanentPathFixes:
     def test_dead_ryser_dispatcher_removed(self):
-        # Satellite: the unbudgeted `_ryser` dispatcher is gone; the
-        # pure reference under its historical name still takes a budget.
+        # The unbudgeted `_ryser` dispatcher is gone; the pure reference
+        # still takes a budget.
         assert not hasattr(permanent_module, "_ryser")
         clock = FakeClock()
         budget = ComputeBudget(seconds=0.5, clock=clock, poll_every=1)
         clock.advance(1.0)
         rng = np.random.default_rng(21)
         with pytest.raises(BudgetExceeded):
-            permanent_module._ryser_int(
-                rng.integers(0, 2, size=(14, 14)), budget=budget
-            )
+            ryser_int_python(rng.integers(0, 2, size=(14, 14)), budget=budget)
 
     def test_permanent_threads_budget_through_kernels(self):
         clock = FakeClock()

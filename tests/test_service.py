@@ -17,7 +17,7 @@ from repro.io import (
     assessment_from_json,
     load_json,
     profile_to_json,
-    save_json,
+    save_json_atomic,
 )
 from repro.recipe import assess_risk
 from repro.service import (
@@ -192,7 +192,7 @@ class TestCache:
         path = tmp_path / "cafe.json"
         payload = load_json(path)
         payload["schema_version"] = SCHEMA_VERSION + 1
-        save_json(payload, path)
+        save_json_atomic(payload, path)
         fresh = AssessmentCache(directory=tmp_path)
         assert fresh.get("cafe") is None
         assert not path.exists()  # stale artifact removed

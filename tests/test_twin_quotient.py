@@ -24,7 +24,6 @@ from repro.datasets.benchmarks import BENCHMARK_SPECS, generate_benchmark_profil
 from repro.errors import BudgetExceeded
 from repro.graph import enumerate_consistent_matchings
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
-from repro.graph.exact import count_matchings_exact, crack_marginals_exact
 from repro.graph.refine import classify_adjacency, classify_edges, reduced_blocks
 from repro.recipe.assess import AttackSummary, _attack_summary
 
@@ -165,15 +164,6 @@ class TestQuotientMatchesItemGraph:
         assert classification.forced == {}
         assert reduced_blocks(classification) == ()
         assert classification.n_forbidden == space.edge_count()
-
-    def test_preprocessed_exact_engine_agrees(self, bigmart_space_h):
-        assert count_matchings_exact(bigmart_space_h, preprocess=True) == (
-            count_matchings_exact(bigmart_space_h)
-        )
-        np.testing.assert_allclose(
-            crack_marginals_exact(bigmart_space_h, preprocess=True),
-            crack_marginals_exact(bigmart_space_h),
-        )
 
 
 def recipe_space(name: str, seed: int):
