@@ -4,8 +4,9 @@ Measures the structure-exploiting exact engine against the historical
 Ryser-only path across domain sizes, the twin-quotient edge
 classification of frequency spaces against the item-graph one, the vectorized
 O-estimate against the per-item loop, the array-built frequency groups and
-space analysis against their per-item construction, plus the vectorized Gibbs
-sweep against the legacy per-item Python loop, and writes the results as
+space analysis against their per-item construction, the vectorized Gibbs
+sweep against the legacy per-item Python loop, plus a streaming-solver run
+(bootstrap and seeded confirms on recipe spaces), and writes the results as
 machine-readable JSON (``BENCH_graph.json`` at the repo root) so future
 changes have a perf trajectory to compare against.
 
@@ -185,6 +186,57 @@ def bench_classify(sizes, with_pumsb: bool, check: bool) -> list[dict]:
             f"  {name:16s} n={space.n:5d} edges={row['edges']:7d} pairs={pairs:5d}  "
             f"quotient={quotient_s:8.4f}s  item-graph={item_s:8.4f}s "
             f"({row['speedup']:.1f}x)"
+        )
+    return rows
+
+
+#: Seeded confirms streamed into the solver after its bootstrap.
+SOLVER_CONFIRMS = 15
+
+
+def bench_solver(smoke: bool, check: bool) -> list[dict]:
+    """The attacker workbench on a recipe space: ``solver_from_space``,
+    bootstrap, then confirms of the true partners of seeded items.
+
+    The final partition is checked against ``classify_adjacency`` on the
+    confirmed graph, rebuilt here independently of the solver.
+    """
+    from repro.attack.solver import Observation, solver_from_space
+
+    rows = []
+    for name in ("accidents",) if smoke else ("accidents", "pumsb"):
+        space = recipe_instance(name)
+        rng = np.random.default_rng(0)
+        items = rng.choice(space.n, size=SOLVER_CONFIRMS, replace=False).tolist()
+        adjacency = [set(space.candidates(i)) for i in range(space.n)]
+        start = time.perf_counter()
+        solver = solver_from_space(space)
+        events = len(solver.bootstrap())
+        bootstrap_s = time.perf_counter() - start
+        for i in items:
+            j = space.true_partner(i)
+            events += len(solver.ingest(Observation(kind="confirm", item=i, anon=j)))
+            adjacency[i] &= {j}
+        stream_s = time.perf_counter() - start
+        agrees = solver.partition == classify_adjacency(adjacency)
+        if check:
+            assert agrees, f"{name}: solver partition differs from classify_adjacency"
+        row = {
+            "instance": f"{name}-delta-med",
+            "n": space.n,
+            "edges": space.edge_count(),
+            "confirms": len(items),
+            "events": events,
+            "forced_pairs": solver.partition.n_forced,
+            "bootstrap_s": bootstrap_s,
+            "stream_s": stream_s,
+            "agrees": agrees,
+        }
+        rows.append(row)
+        print(
+            f"  {row['instance']:18s} n={space.n:5d} edges={row['edges']:7d} "
+            f"events={events:6d}  bootstrap={bootstrap_s:7.3f}s "
+            f"stream={stream_s:7.3f}s"
         )
     return rows
 
@@ -605,6 +657,8 @@ def main(argv=None) -> int:
     gibbs = bench_gibbs(n=200 if args.smoke else 1000, sweeps=5 if args.smoke else 20)
     print("vectorized kernels and sweep memo:")
     kernels = bench_kernels(smoke=args.smoke, check=True)
+    print(f"streaming solver (bootstrap + {SOLVER_CONFIRMS} confirms):")
+    solver_rows = bench_solver(smoke=args.smoke, check=True)
 
     if args.smoke:
         committed = Path(args.output)
@@ -623,6 +677,8 @@ def main(argv=None) -> int:
     assert kernels["block_ryser_batched"]["speedup"] >= 2.0, kernels
     assert kernels["sweep_reuse"]["speedup"] >= 3.0, kernels
 
+    output = Path(args.output)
+    previous = json.loads(output.read_text()) if output.exists() else {}
     report = {
         "benchmark": "bench_graph",
         "schema": 1,
@@ -633,8 +689,9 @@ def main(argv=None) -> int:
         "space": space_rows,
         "gibbs_sweep": gibbs,
         "kernels": kernels,
+        # Keeps hand-recorded entries (a baseline) beside the fresh rows.
+        "solver": {**previous.get("solver", {}), "rows": solver_rows},
     }
-    output = Path(args.output)
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")
     return 0

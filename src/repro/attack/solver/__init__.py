@@ -7,7 +7,7 @@ intervals) and it maintains the exact forced/forbidden/undecided edge
 partition, emitting JSONL events the moment an identification locks on.
 See ``docs/attack.md`` for the model and the wire format.
 
-Layering: this package builds on :mod:`repro.graph` (propagation,
+Layering: this package builds on :mod:`repro.graph` (the
 Dulmage–Mendelsohn refinement) and must stay independent of
 :mod:`repro.service` and :mod:`repro.io` — those wire it up, not the
 other way around.

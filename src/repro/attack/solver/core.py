@@ -8,17 +8,13 @@ after any set of observations is independent of their order, and
 previously emitted ``forced`` events never retract (short of the graph
 turning infeasible, which is itself monotone).
 
-Per step the solver runs three fronts, cheapest first:
-
-1. the degree-1 cascade of Figure 7
-   (:func:`repro.graph.propagation.propagate_degree_one`, whose
-   forced *and* forbidden output is reused directly);
-2. generalized degree-``k`` naked-subset propagation
-   (:func:`repro.graph.refine.propagate_degree_k`);
-3. the exact Dulmage–Mendelsohn classification
-   (:func:`repro.graph.refine.classify_adjacency`) over whatever the
-   propagation fronts left, which decides every remaining edge and
-   detects Hall-condition infeasibility.
+Per step the solver runs one complete filter: the Dulmage–Mendelsohn /
+Régin classification (:func:`repro.graph.refine.classify_adjacency`)
+of the current graph, which decides every edge and detects
+Hall-condition infeasibility.  Figure 7's degree-1 cascade is a special
+case of that filter (a degree-1 node is a singleton component), so the
+staircase of Figure 6(a) comes out fully forced without a separate
+propagation front.
 
 Newly decided edges are diffed against what was already emitted and
 returned as deterministic, ascending-ordered
@@ -32,20 +28,13 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.budget import ComputeBudget
 from repro.errors import SolverError
-from repro.graph.bipartite import ExplicitMappingSpace, MappingSpace
-from repro.graph.propagation import propagate_degree_one
-from repro.graph.refine import (
-    EdgeClassification,
-    classify_adjacency,
-    propagate_degree_k,
-)
+from repro.graph.bipartite import MappingSpace
+from repro.graph.propagation import DEFAULT_MAX_EDGES
+from repro.graph.refine import EdgeClassification, classify_adjacency
 
 from repro.attack.solver.events import Observation, SolverEvent
 
 __all__ = ["ConsistencySolver", "solver_from_space"]
-
-#: Mirrors the explicit-adjacency guard of the propagation module.
-_DEFAULT_MAX_EDGES = 5_000_000
 
 
 class ConsistencySolver:
@@ -67,9 +56,9 @@ class ConsistencySolver:
         Optional display names echoed into events.
     budget:
         Optional compute budget polled by every solver loop.
-    degree_k:
-        Naked-subset propagation depth (``>= 1``; 1 disables the
-        generalized front since degree-1 already ran).
+    max_edges:
+        Explicit-adjacency guard; a classification over more edges
+        raises :class:`~repro.errors.SolverError`.
     """
 
     def __init__(
@@ -80,8 +69,7 @@ class ConsistencySolver:
         item_labels: Sequence[str] | None = None,
         anon_labels: Sequence[str] | None = None,
         budget: ComputeBudget | None = None,
-        degree_k: int = 3,
-        max_edges: int = _DEFAULT_MAX_EDGES,
+        max_edges: int = DEFAULT_MAX_EDGES,
     ) -> None:
         n = len(adjacency)
         if n == 0:
@@ -110,9 +98,6 @@ class ConsistencySolver:
         if self._anon_labels is not None and len(self._anon_labels) != n:
             raise SolverError("anon labels must align with the anon side")
         self._budget = budget
-        if degree_k < 1:
-            raise SolverError(f"degree_k must be >= 1, got {degree_k}")
-        self._degree_k = degree_k
         self._max_edges = max_edges
         self._step = 0
         self._emitted_forced: dict[int, int] = {}
@@ -178,85 +163,32 @@ class ConsistencySolver:
             counts["certified_cracks"] = certified
         return counts
 
-    # -- the solving fronts --------------------------------------------------
-
-    def _space(self) -> MappingSpace:
-        """The current graph as a mapping space (identity truth stand-in)."""
-        truth = self._truth if self._truth is not None else list(range(self._n))
-        return ExplicitMappingSpace(
-            items=tuple(range(self._n)),
-            anonymized=tuple(range(self._n)),
-            adjacency=[sorted(row) for row in self._adjacency],
-            true_partner_of=truth,
-        )
+    # -- classification ------------------------------------------------------
 
     def _classify(self) -> EdgeClassification:
-        """Full partition of the current graph, propagation-accelerated.
+        """Full partition of the current graph.
 
-        The propagation fronts only delete edges that are in no perfect
-        matching, so classifying their residue classifies the current
-        graph; their deletions are folded back into the ``forbidden``
-        side of the returned partition.
+        An infeasible graph classifies every edge forbidden and names a
+        witness: the first empty row, else a Hall-condition violator.
         """
         n = self._n
         if any(not row for row in self._adjacency):
             empty = min(i for i in range(n) if not self._adjacency[i])
-            return self._all_forbidden(
-                witness=(empty,), reason=f"item #{empty} has no candidates left"
+            return EdgeClassification(
+                n=n,
+                forced={},
+                undecided=tuple(frozenset() for _ in range(n)),
+                forbidden=tuple(frozenset(row) for row in self._adjacency),
+                infeasible=True,
+                hall_witness=(empty,),
+                reason=f"item #{empty} has no candidates left",
             )
         edges = sum(len(row) for row in self._adjacency)
         if edges > self._max_edges:
             raise SolverError(
                 f"instance has {edges} edges, beyond the {self._max_edges}-edge guard"
             )
-        propagation = propagate_degree_one(self._space(), max_edges=self._max_edges)
-        if propagation.infeasible:
-            return self._all_forbidden(witness=None, reason="degree-1 cascade emptied a node")
-        pruned: list[set[int]] = [set() for _ in range(n)]
-        for i, j in propagation.forced.items():
-            pruned[i] = {j}
-        for i, row in propagation.remaining_adjacency.items():
-            pruned[i] = set(row)
-        if self._degree_k > 1:
-            subset = propagate_degree_k(pruned, k=self._degree_k, budget=self._budget)
-            if subset.infeasible:
-                return self._all_forbidden(
-                    witness=None, reason="naked-subset propagation emptied a pool"
-                )
-            pruned = [set(row) for row in subset.adjacency]
-        classification = classify_adjacency(pruned, budget=self._budget)
-        if classification.infeasible:
-            return self._all_forbidden(
-                witness=classification.hall_witness, reason=classification.reason
-            )
-        # Fold propagation deletions back in: forbidden relative to the
-        # *current* graph is everything not forced and not undecided.
-        forbidden = []
-        for i in range(n):
-            decided_free = classification.undecided[i]
-            pinned = classification.forced.get(i)
-            banned = {j for j in self._adjacency[i] if j != pinned and j not in decided_free}
-            forbidden.append(frozenset(banned))
-        return EdgeClassification(
-            n=n,
-            forced=classification.forced,
-            undecided=classification.undecided,
-            forbidden=tuple(forbidden),
-            infeasible=False,
-        )
-
-    def _all_forbidden(
-        self, witness: tuple[int, ...] | None, reason: str | None
-    ) -> EdgeClassification:
-        return EdgeClassification(
-            n=self._n,
-            forced={},
-            undecided=tuple(frozenset() for _ in range(self._n)),
-            forbidden=tuple(frozenset(row) for row in self._adjacency),
-            infeasible=True,
-            hall_witness=witness,
-            reason=reason,
-        )
+        return classify_adjacency(self._adjacency, budget=self._budget)
 
     # -- event emission ------------------------------------------------------
 
@@ -390,8 +322,7 @@ class ConsistencySolver:
 def solver_from_space(
     space: MappingSpace,
     budget: ComputeBudget | None = None,
-    degree_k: int = 3,
-    max_edges: int = _DEFAULT_MAX_EDGES,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> ConsistencySolver:
     """Owner-side dual view: wrap a mapping space (with its ground truth).
 
@@ -414,6 +345,5 @@ def solver_from_space(
         item_labels=[repr(x) for x in space.items],
         anon_labels=[repr(x) for x in space.anonymized],
         budget=budget,
-        degree_k=degree_k,
         max_edges=max_edges,
     )

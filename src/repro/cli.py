@@ -1077,7 +1077,7 @@ def build_crack_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="instance JSON: {\"adjacency\": [[...], ...]} with optional "
-        "\"observed\", \"truth\" and \"degree_k\", or "
+        "\"observed\" and \"truth\", or "
         "{\"profile\": <profile_to_json payload>, \"delta\": 0.01}",
     )
     parser.add_argument(
@@ -1100,12 +1100,6 @@ def build_crack_parser() -> argparse.ArgumentParser:
         help="polling interval for --watch (default 0.5)",
     )
     parser.add_argument(
-        "--degree-k",
-        type=int,
-        default=None,
-        help="naked-subset propagation depth override (default 3)",
-    )
-    parser.add_argument(
         "--no-summary",
         action="store_true",
         help="suppress the per-step summary events",
@@ -1120,10 +1114,11 @@ def build_crack_parser() -> argparse.ArgumentParser:
 
 
 def _crack_smoke() -> int:
-    """The ``--smoke`` gate: propagation alone must crack the staircase.
+    """The ``--smoke`` gate: edge classification alone must crack the staircase.
 
     Figure 6(a)'s staircase graph has exactly one consistent mapping, so
-    the solver must stream every forced identification from the initial
+    the solver's one filter (matching plus residual-graph components)
+    must stream every forced identification from the initial
     classification — with the exact counting engines (Ryser, interval
     DP) patched to fail on touch, proving the workbench never leans on
     them.
@@ -1199,10 +1194,7 @@ def crack_main(argv: Sequence[str] | None = None) -> int:
         print(event.encode(), flush=True)
 
     try:
-        instance = load_json(args.instance)
-        if args.degree_k is not None:
-            instance = {**instance, "degree_k": args.degree_k}
-        solver = solver_from_instance(instance)
+        solver = solver_from_instance(load_json(args.instance))
 
         def ingest(observation) -> None:
             for event in solver.ingest(observation):

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from repro.errors import GraphError
 from repro.graph.bipartite import MappingSpace
 from repro.graph.matching import group_feasible_matching
+from repro.graph.propagation import DEFAULT_MAX_EDGES
 
 __all__ = ["IdentifiedBlock", "itemset_identifications", "surely_cracked_items"]
-
-_DEFAULT_MAX_EDGES = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def _tarjan_scc(n: int, successors: list[list[int]]) -> list[int]:
 
 
 def itemset_identifications(
-    space: MappingSpace, max_edges: int = _DEFAULT_MAX_EDGES
+    space: MappingSpace, max_edges: int = DEFAULT_MAX_EDGES
 ) -> list[IdentifiedBlock]:
     """All minimal forced itemset identifications of a mapping space.
 
@@ -146,7 +145,7 @@ def itemset_identifications(
     return blocks
 
 
-def surely_cracked_items(space: MappingSpace, max_edges: int = _DEFAULT_MAX_EDGES) -> list:
+def surely_cracked_items(space: MappingSpace, max_edges: int = DEFAULT_MAX_EDGES) -> list:
     """Items identified with certainty by every consistent mapping.
 
     These are the singleton blocks whose forced pair is the true pair —

@@ -52,11 +52,9 @@ from repro.graph.permanent import (
 )
 from repro.graph.propagation import PropagationResult, propagate_degree_one
 from repro.graph.refine import (
-    DegreeKResult,
     EdgeClassification,
     classify_adjacency,
     classify_edges,
-    propagate_degree_k,
     reduced_blocks,
 )
 
@@ -91,9 +89,7 @@ __all__ = [
     "PropagationResult",
     "propagate_degree_one",
     "EdgeClassification",
-    "DegreeKResult",
     "classify_adjacency",
     "classify_edges",
-    "propagate_degree_k",
     "reduced_blocks",
 ]

@@ -49,8 +49,8 @@ __all__ = [
     "crack_distribution_exact",
 ]
 
-#: Ryser blocks beyond this size are infeasible (matches the historical
-#: ``permanent`` guard).
+#: Ryser blocks beyond this size are infeasible (also the guard of
+#: :func:`repro.graph.permanent.permanent`).
 RYSER_BLOCK_LIMIT = 22
 
 #: Per-block enumeration cap for explicit-space crack laws.

@@ -30,6 +30,7 @@ from repro.budget import ComputeBudget
 from repro.errors import GraphError, InfeasibleMatchingError
 from repro.graph.bipartite import MappingSpace
 from repro.graph.blocks import _UnionFind
+from repro.graph.exact import ENUMERATION_BLOCK_LIMIT, RYSER_BLOCK_LIMIT
 from repro.graph.kernels import permanent_batch
 
 __all__ = [
@@ -40,9 +41,6 @@ __all__ = [
     "crack_distribution_permanent",
     "enumerate_consistent_matchings",
 ]
-
-_PERMANENT_LIMIT = 22
-_ENUMERATION_LIMIT = 12
 
 #: Above this size the O(2^n) walk dominates the O(n^2) union-find, so
 #: ``permanent`` always tries the block split first (a block-diagonal
@@ -80,7 +78,6 @@ def _is_integral(matrix: np.ndarray) -> bool:
 
 def permanent(
     matrix: np.ndarray,
-    limit: int | None = None,
     budget: ComputeBudget | None = None,
 ) -> int | float:
     """The permanent of a square matrix, by Ryser's formula over blocks.
@@ -91,10 +88,10 @@ def permanent(
     in arbitrary-precision Python ints and return an exact ``int``; only
     genuinely weighted real matrices take the float path, whose Ryser
     sum can cancel catastrophically near the cap.  Matrices larger than
-    ``limit`` (default 22) are split into connected blocks first — the
-    permanent is the product of block permanents — and only a *block*
-    beyond the limit is infeasible.  Pass ``limit`` to accept a higher
-    cost explicitly.  A *budget* (see :class:`repro.budget.ComputeBudget`)
+    a few rows are split into connected blocks first — the permanent is
+    the product of block permanents — and only a *block* beyond
+    :data:`~repro.graph.exact.RYSER_BLOCK_LIMIT` (22) is infeasible.
+    A *budget* (see :class:`repro.budget.ComputeBudget`)
     is polled every 256 Ryser subsets, so deadline-bearing callers can
     cancel a runaway permanent cooperatively.
     """
@@ -102,7 +99,6 @@ def permanent(
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise GraphError(f"permanent needs a square matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
-    cap = _PERMANENT_LIMIT if limit is None else int(limit)
     integral = _is_integral(matrix)
 
     def ryser(block: np.ndarray) -> int | float:
@@ -119,13 +115,12 @@ def permanent(
         # Some rows can only use fewer columns: no permutation survives.
         return 0 if integral else 0.0  # repro-lint: disable=EX001 -- weighted-path zero
     largest = max(len(rows) for rows, _ in blocks)
-    if largest > cap:
+    if largest > RYSER_BLOCK_LIMIT:
         raise GraphError(
             f"permanent of a {n}x{n} matrix is infeasible: its largest "
-            f"connected block has {largest} rows (Ryser limit {cap}). "
-            "Pass limit= to accept the cost, or use exact_strategy / "
-            "count_matchings_exact (block-ryser, interval-dp) — or the "
-            "O-estimate or the simulator"
+            f"connected block has {largest} rows (Ryser limit {RYSER_BLOCK_LIMIT}). "
+            "Use exact_strategy / count_matchings_exact (block-ryser, "
+            "interval-dp) — or the O-estimate or the simulator"
         )
     if len(blocks) == 1:
         return ryser(matrix)
@@ -254,10 +249,10 @@ def enumerate_consistent_matchings(space: MappingSpace) -> Iterator[tuple[int, .
     ``n <= 12``.
     """
     n = space.n
-    if n > _ENUMERATION_LIMIT:
+    if n > ENUMERATION_BLOCK_LIMIT:
         raise GraphError(
             f"enumerating matchings of a {n}-item space is infeasible "
-            f"(limit {_ENUMERATION_LIMIT})"
+            f"(limit {ENUMERATION_BLOCK_LIMIT})"
         )
     order = sorted(range(n), key=space.outdegree)
     candidate_lists = [tuple(space.candidates(i)) for i in range(n)]

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 from repro.errors import GraphError
 from repro.graph.bipartite import MappingSpace
 
-__all__ = ["PropagationResult", "propagate_degree_one"]
+__all__ = ["DEFAULT_MAX_EDGES", "PropagationResult", "propagate_degree_one"]
 
-_DEFAULT_MAX_EDGES = 5_000_000
+#: Edge guard for every routine that materializes an explicit adjacency
+#: (propagation, edge classification, the attacker workbench).
+DEFAULT_MAX_EDGES = 5_000_000
 
 
 @dataclass
@@ -33,12 +35,6 @@ class PropagationResult:
     ----------
     forced:
         Item->anon index pairs present in every perfect matching.
-    forbidden:
-        Item index -> anon indices whose edges the cascade *proved*
-        absent from every perfect matching: each was deleted because its
-        other endpoint got consumed by a forced pair.  (Degree-1 removal
-        used to discard this information; the attacker workbench reuses
-        it instead of reclassifying from scratch.)
     remaining_outdegrees:
         Outdegree of every *unforced* item in the reduced graph.
     remaining_adjacency:
@@ -50,7 +46,6 @@ class PropagationResult:
     """
 
     forced: dict[int, int] = field(default_factory=dict)
-    forbidden: dict[int, set[int]] = field(default_factory=dict)
     remaining_outdegrees: dict[int, int] = field(default_factory=dict)
     remaining_adjacency: dict[int, set[int]] = field(default_factory=dict)
     infeasible: bool = False
@@ -58,10 +53,6 @@ class PropagationResult:
     @property
     def n_forced(self) -> int:
         return len(self.forced)
-
-    @property
-    def n_forbidden(self) -> int:
-        return sum(len(anons) for anons in self.forbidden.values())
 
     def forced_cracks(self, space: MappingSpace) -> int:
         """How many of the forced pairs are true identifications.
@@ -74,7 +65,7 @@ class PropagationResult:
 
 
 def propagate_degree_one(
-    space: MappingSpace, max_edges: int = _DEFAULT_MAX_EDGES
+    space: MappingSpace, max_edges: int = DEFAULT_MAX_EDGES
 ) -> PropagationResult:
     """Run the propagation procedure of Figure 7.
 
@@ -117,7 +108,6 @@ def propagate_degree_one(
         removed_item[i] = True
         removed_anon[j] = True
         for other_anon in item_adj[i] - {j}:
-            result.forbidden.setdefault(i, set()).add(other_anon)
             anon_adj[other_anon].discard(i)
             if not removed_anon[other_anon]:
                 if len(anon_adj[other_anon]) == 1:
@@ -125,7 +115,6 @@ def propagate_degree_one(
                 elif not anon_adj[other_anon]:
                     result.infeasible = True
         for other_item in anon_adj[j] - {i}:
-            result.forbidden.setdefault(other_item, set()).add(j)
             item_adj[other_item].discard(j)
             if not removed_item[other_item]:
                 if len(item_adj[other_item]) == 1:

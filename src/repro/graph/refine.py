@@ -32,17 +32,11 @@ earliest-deadline-first flow, SCCs of its residual graph — and the
 per-item sets are only built when read.  On a PUMSB-class space that is
 about 1.2k pairs instead of 150k–290k item edges.
 
-Two propagation fronts complement the exact classification:
-
-* :func:`propagate_degree_k` — generalized degree-``k`` elimination
-  ("naked subsets"): ``m <= k`` nodes whose candidate sets all fit
-  inside one witness node's candidate set of size ``m`` reserve those
-  candidates, so every outside edge into the set is forbidden.
-  ``k = 1`` degenerates to Figure 7's degree-1 cascade.
-* :func:`reduced_blocks` — connected components of the *undecided*
-  subgraph, which is what the exact engine actually has to count over
-  once forced pairs and forbidden edges are peeled off (removing them
-  changes neither the permanent nor the surviving marginals).
+:func:`reduced_blocks` then splits the *undecided* subgraph into
+connected components, which is what the exact engine actually has to
+count over once forced pairs and forbidden edges are peeled off
+(removing them changes neither the permanent nor the surviving
+marginals).
 
 Everything here is exact integer arithmetic and deterministic
 (ascending-index iteration throughout); all loops poll an optional
@@ -66,19 +60,15 @@ from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
 from repro.graph.blocks import Block, _UnionFind
 from repro.graph.groups import BeliefGroup
 from repro.graph.matching import hopcroft_karp
+from repro.graph.propagation import DEFAULT_MAX_EDGES
 
 __all__ = [
     "EdgeClassification",
-    "DegreeKResult",
     "TwinQuotient",
     "classify_adjacency",
     "classify_edges",
-    "propagate_degree_k",
     "reduced_blocks",
 ]
-
-#: Mirrors the guard of :func:`repro.graph.propagation.propagate_degree_one`.
-_DEFAULT_MAX_EDGES = 5_000_000
 
 FORCED = "forced"
 FORBIDDEN = "forbidden"
@@ -439,15 +429,15 @@ def classify_adjacency(
 def classify_edges(
     space: MappingSpace,
     budget: ComputeBudget | None = None,
-    max_edges: int = _DEFAULT_MAX_EDGES,
+    max_edges: int = DEFAULT_MAX_EDGES,
 ) -> EdgeClassification:
     """Classify every edge of a mapping space (explicit or frequency).
 
     Frequency spaces are classified on their twin quotient
     (:func:`_classify_frequency`); explicit ones go through
     :func:`classify_adjacency`.  Either way the per-item sets can hold
-    every edge, so the *max_edges* guard of
-    :func:`repro.graph.propagation.propagate_degree_one` applies.
+    every edge, so the explicit-adjacency *max_edges* guard
+    (:data:`repro.graph.propagation.DEFAULT_MAX_EDGES`) applies.
     """
     total_edges = space.edge_count()
     if total_edges > max_edges:
@@ -649,113 +639,6 @@ def _classify_frequency(
         reason=reason,
         quotient=quotient,
         certified_cracks=certified,
-    )
-
-
-@dataclass(frozen=True)
-class DegreeKResult:
-    """Outcome of generalized degree-``k`` (naked-subset) propagation.
-
-    Attributes
-    ----------
-    forced:
-        Item -> anon pairs pinned by singleton subsets (``k = 1``).
-    removed:
-        Edges ``(item, anon)`` proven forbidden by subset reservation,
-        in ascending order.
-    adjacency:
-        The pruned item-side adjacency after the fixpoint.
-    infeasible:
-        True when some reserved subset was over-subscribed (more nodes
-        than candidates) or a node ran out of candidates.
-    """
-
-    forced: dict[int, int]
-    removed: tuple[tuple[int, int], ...]
-    adjacency: tuple[frozenset[int], ...]
-    infeasible: bool
-
-    @property
-    def n_removed(self) -> int:
-        return len(self.removed)
-
-
-def propagate_degree_k(
-    adjacency: Sequence[Iterable[int]],
-    k: int = 3,
-    budget: ComputeBudget | None = None,
-) -> DegreeKResult:
-    """Naked-subset elimination up to subsets of size *k*, both sides.
-
-    Whenever the candidate set ``S`` of some node has ``|S| = m <= k``
-    and exactly ``m`` nodes keep all their candidates inside ``S``,
-    those ``m`` nodes reserve ``S``: every other node's edge into ``S``
-    is forbidden.  With ``k = 1`` this is precisely Figure 7's degree-1
-    propagation; larger ``k`` also resolves e.g. twin items sharing a
-    2-candidate pool.  Runs to a fixpoint, alternating sides;
-    deterministic and exact.
-    """
-    if k < 1:
-        raise GraphError(f"degree-k propagation needs k >= 1, got {k}")
-    rows, _ = _normalized_rows(adjacency)
-    n = len(rows)
-    item_adj: list[set[int]] = [set(row) for row in rows]
-    anon_adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in item_adj[i]:
-            anon_adj[j].add(i)
-
-    forced: dict[int, int] = {}
-    removed: set[tuple[int, int]] = set()
-    infeasible = False
-    changed = True
-    while changed and not infeasible:
-        if budget is not None:
-            budget.poll()
-        changed = False
-        for side_is_item in (True, False):
-            near = item_adj if side_is_item else anon_adj
-            far = anon_adj if side_is_item else item_adj
-            witnesses: dict[frozenset[int], int] = {}
-            for u in range(n):
-                if budget is not None:
-                    budget.checkpoint()
-                if 0 < len(near[u]) <= k:
-                    witnesses.setdefault(frozenset(near[u]), u)
-                elif not near[u]:
-                    infeasible = True
-            for pool in sorted(witnesses, key=sorted):
-                if budget is not None:
-                    budget.checkpoint(weight=n)
-                members = [u for u in range(n) if near[u] and near[u] <= pool]
-                if len(members) > len(pool):
-                    infeasible = True
-                    break
-                if len(members) < len(pool):
-                    continue
-                member_set = set(members)
-                for v in sorted(pool):
-                    for u in sorted(far[v] - member_set):
-                        edge = (u, v) if side_is_item else (v, u)
-                        removed.add(edge)
-                        near[u].discard(v)
-                        far[v].discard(u)
-                        changed = True
-                        if not near[u]:
-                            infeasible = True
-            if infeasible:
-                break
-
-    for i in range(n):
-        if len(item_adj[i]) == 1:
-            (j,) = item_adj[i]
-            if len(anon_adj[j]) == 1:
-                forced[i] = j
-    return DegreeKResult(
-        forced=forced,
-        removed=tuple(sorted(removed)),
-        adjacency=tuple(frozenset(row) for row in item_adj),
-        infeasible=infeasible,
     )
 
 

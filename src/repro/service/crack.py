@@ -14,7 +14,7 @@ One request shape serves both moves::
      "observations": [{"kind": "confirm", "item": 0, "anon": 0}]}
 
 An ``instance`` is either an explicit ``adjacency`` (with optional
-``observed`` frequencies, ``truth`` permutation and ``degree_k``) or a
+``observed`` frequencies and ``truth`` permutation) or a
 serialized frequency ``profile`` plus interval half-width ``delta`` —
 the latter builds the same belief/space the assessment pipeline
 analyzes, ground truth included, so ``forced`` events carry ``crack``
@@ -61,9 +61,6 @@ def solver_from_instance(
     budget: ComputeBudget | None = None,
 ) -> ConsistencySolver:
     """Build a solver from a ``/crack/step`` ``instance`` payload."""
-    degree_k = instance.get("degree_k", 3)
-    if not isinstance(degree_k, int) or isinstance(degree_k, bool):
-        raise SolverError(f"degree_k must be an integer, got {degree_k!r}")
     if "profile" in instance:
         if "delta" not in instance:
             raise SolverError("a profile instance needs the interval half-width 'delta'")
@@ -72,7 +69,7 @@ def solver_from_instance(
         frequencies = profile.frequencies()
         belief = uniform_width_belief(frequencies, delta)
         space = space_from_frequencies(belief, frequencies)
-        return solver_from_space(space, budget=budget, degree_k=degree_k)
+        return solver_from_space(space, budget=budget)
     if "adjacency" not in instance:
         raise SolverError("an instance needs either 'adjacency' or 'profile' + 'delta'")
     adjacency = _int_rows(instance["adjacency"], "adjacency")
@@ -83,7 +80,6 @@ def solver_from_instance(
         observed=None if observed is None else [float(f) for f in observed],
         true_partner_of=None if truth is None else [int(j) for j in truth],
         budget=budget,
-        degree_k=degree_k,
     )
 
 

@@ -38,7 +38,6 @@ rules — the hard uniqueness claim rests on the commit log.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -51,6 +50,7 @@ from repro.io import (
     load_json,
 )
 from repro.service.cache import COMMIT_LOG_NAME, AssessmentCache
+from repro.service.lease import _pid_alive
 
 __all__ = ["Violation", "VerifierReport", "verify_run"]
 
@@ -83,18 +83,6 @@ class VerifierReport:
             "violations": [violation.to_json() for violation in self.violations],
             "checks": self.checks,
         }
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True
-    return True
 
 
 def _canonical(assessment_payload: Any) -> str:

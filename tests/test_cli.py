@@ -111,6 +111,15 @@ class TestCrackCli:
         assert crack_main(["--instance", "x.json", "--watch"]) == 2
         assert "--watch" in capsys.readouterr().err
 
+    def test_degree_k_flag_refused(self, capsys):
+        # The solver has one complete filter and no propagation depth.
+        from repro.cli import crack_main
+
+        with pytest.raises(SystemExit) as refused:
+            crack_main(["--instance", "x.json", "--degree-k", "2"])
+        assert refused.value.code == 2
+        assert "--degree-k" in capsys.readouterr().err
+
     def test_streams_events_from_files(self, tmp_path, capsys):
         import json
 

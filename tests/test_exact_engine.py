@@ -249,14 +249,6 @@ class TestDispatcher:
         with pytest.raises(GraphError, match="largest connected block has 23"):
             permanent(np.ones((23, 23)))
 
-    def test_permanent_limit_keyword(self):
-        matrix = np.ones((13, 13))
-        import math
-
-        assert permanent(matrix, limit=13) == pytest.approx(float(math.factorial(13)))
-        with pytest.raises(GraphError, match="infeasible"):
-            permanent(matrix, limit=12)
-
     def test_permanent_splits_blocks_beyond_limit(self):
         # 26 rows in two disconnected 13-blocks: over the limit as a
         # whole, fine block by block.

@@ -104,35 +104,3 @@ class TestChainedForcing:
         result = propagate_degree_one(space)
         assert result.forced == {1: 1, 0: 0}
         assert result.remaining_outdegrees == {2: 2, 3: 2}
-
-
-class TestForbiddenReporting:
-    def test_staircase_reports_consumed_edges(self, staircase_space):
-        # Every edge not on the forced diagonal is proven absent.
-        result = propagate_degree_one(staircase_space)
-        forbidden = {
-            (i, j) for i, anons in result.forbidden.items() for j in anons
-        }
-        assert forbidden == {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
-        assert result.n_forbidden == 6
-
-    def test_untouched_graph_reports_nothing(self, two_blocks_space):
-        result = propagate_degree_one(two_blocks_space)
-        assert result.forbidden == {}
-        assert result.n_forbidden == 0
-
-    def test_partial_cascade_forbidden_matches_removals(self):
-        space = ExplicitMappingSpace(
-            items=(1, 2, 3, 4),
-            anonymized=("a", "b", "c", "d"),
-            adjacency=[[0, 1], [1], [2, 3], [2, 3]],
-            true_partner_of=[0, 1, 2, 3],
-        )
-        result = propagate_degree_one(space)
-        # Forcing (2, "b") removes item 1's other edge (0, "b")... which
-        # does not exist; the only consumed edge is (1, 1) seen from item
-        # 0's side: anon "b" leaves item 0's candidate set.
-        forbidden = {
-            (i, j) for i, anons in result.forbidden.items() for j in anons
-        }
-        assert forbidden == {(0, 1)}

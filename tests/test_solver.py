@@ -23,11 +23,7 @@ from repro.attack.solver import (
 )
 from repro.budget import ComputeBudget
 from repro.errors import BudgetExceeded, SolverError
-from repro.graph.refine import (
-    classify_adjacency,
-    propagate_degree_k,
-    reduced_blocks,
-)
+from repro.graph.refine import classify_adjacency, reduced_blocks
 from repro.service.crack import CrackSessionStore, solver_from_instance
 
 STAIRCASE = [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3]]
@@ -84,8 +80,8 @@ class TestBruteForceCrossCheck:
             assert got_forbidden == forbidden, adjacency
 
     def test_randomized_instances_after_observations(self, rng):
-        # Ingesting restrictions must land on the brute-force partition
-        # of the restricted graph.
+        # Streams of 1-4 restrictions must land, after every step, on
+        # the brute-force partition of the restricted graph.
         for trial in range(30):
             n = int(rng.integers(3, 8))
             adjacency = [
@@ -93,24 +89,24 @@ class TestBruteForceCrossCheck:
                 for i in range(n)
             ]
             solver = ConsistencySolver(adjacency)
-            item = int(rng.integers(0, n))
-            keep = sorted(
-                j for j in adjacency[item] if rng.random() < 0.7
-            ) or [adjacency[item][0]]
-            solver.ingest(Observation(kind="restrict", item=item, anons=tuple(keep)))
-            restricted = [
-                keep if i == item else adjacency[i] for i in range(n)
-            ]
-            matchings, forced, forbidden = brute_force_partition(restricted)
-            if not matchings:
-                assert solver.partition.infeasible
-                continue
-            got_forced, got_forbidden = solver_partition(solver)
-            assert got_forced == forced
-            # The solver reports forbidden edges relative to its current
-            # graph, which no longer contains observation-removed edges.
-            current = {(i, j) for i in range(n) for j in restricted[i]}
-            assert got_forbidden == forbidden & current
+            restricted = [list(row) for row in adjacency]
+            for _ in range(int(rng.integers(1, 5))):
+                item = int(rng.integers(0, n))
+                keep = sorted(
+                    j for j in adjacency[item] if rng.random() < 0.7
+                ) or [adjacency[item][0]]
+                solver.ingest(Observation(kind="restrict", item=item, anons=tuple(keep)))
+                restricted[item] = [j for j in restricted[item] if j in keep]
+                matchings, forced, forbidden = brute_force_partition(restricted)
+                if not matchings:
+                    assert solver.partition.infeasible, restricted
+                    break
+                got_forced, got_forbidden = solver_partition(solver)
+                assert got_forced == forced, restricted
+                # The solver reports forbidden edges relative to its current
+                # graph, which no longer contains observation-removed edges.
+                current = {(i, j) for i in range(n) for j in restricted[i]}
+                assert got_forbidden == forbidden & current, restricted
 
 
 class TestStreamingOrderInvariance:
@@ -187,21 +183,26 @@ class TestHallInfeasibility:
         events = solver.bootstrap()
         assert [e.kind for e in events] == ["infeasible"]
 
+    def test_contradiction_names_a_hall_witness(self):
+        # Confirming item 1 on anon 0 leaves items 0 and 1 both pinned
+        # to anon 0: no empty row, but a two-item Hall violation.
+        solver = ConsistencySolver(STAIRCASE)
+        solver.bootstrap()
+        events = solver.ingest(Observation(kind="confirm", item=1, anon=0))
+        assert [e.kind for e in events] == ["infeasible"]
+        assert events[0].detail.startswith("Hall's condition fails")
+        assert solver.partition.hall_witness == (0, 1)
+
 
 class TestDegreeK:
-    def test_naked_pair_prunes_outside_edges(self):
-        # Items 0,1 both see only {0,1}: a naked pair reserving those
-        # anons, so item 2 loses its edges into the pair.
-        result = propagate_degree_k([{0, 1}, {0, 1}, {0, 1, 2}], k=2)
-        assert not result.infeasible
-        assert set(result.removed) == {(2, 0), (2, 1)}
-        assert result.forced == {2: 2}
-
     def test_solver_uses_subset_front(self):
-        solver = ConsistencySolver([[0, 1], [0, 1], [0, 1, 2]], degree_k=2)
+        # Items 0,1 both see only {0,1}: a naked pair reserving those
+        # anons, so item 2 loses its edges into the pair and is forced.
+        solver = ConsistencySolver([[0, 1], [0, 1], [0, 1, 2]])
         forced, forbidden = solver_partition(solver)
-        assert (2, 2) in forced
-        assert {(2, 0), (2, 1)} <= forbidden
+        assert forced == {(2, 2)}
+        assert forbidden == {(2, 0), (2, 1)}
+        assert solver.partition.undecided[:2] == (frozenset({0, 1}),) * 2
 
 
 class TestBudget:
