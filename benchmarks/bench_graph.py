@@ -6,7 +6,8 @@ classification of frequency spaces against the item-graph one, the vectorized
 O-estimate against the per-item loop, the array-built frequency groups and
 space analysis against their per-item construction, the vectorized Gibbs
 sweep against the legacy per-item Python loop, plus a streaming-solver run
-(bootstrap and seeded confirms on recipe spaces), and writes the results as
+(bootstrap and seeded confirms on recipe spaces) and Section 8.2's itemset
+identifications on recipe spaces, and writes the results as
 machine-readable JSON (``BENCH_graph.json`` at the repo root) so future
 changes have a perf trajectory to compare against.
 
@@ -237,6 +238,53 @@ def bench_solver(smoke: bool, check: bool) -> list[dict]:
             f"  {row['instance']:18s} n={space.n:5d} edges={row['edges']:7d} "
             f"events={events:6d}  bootstrap={bootstrap_s:7.3f}s "
             f"stream={stream_s:7.3f}s"
+        )
+    return rows
+
+
+def explicit_route_blocks(space) -> list[tuple[tuple, tuple]]:
+    """Identified blocks from the item-graph classification: forced
+    singletons plus the undecided components, labelled and sorted as
+    ``itemset_identifications`` returns them."""
+    classification = item_graph_classification(space)
+    index_blocks = [((i,), (j,)) for i, j in classification.forced.items()] + [
+        (block.item_indices, block.anon_indices) for block in reduced_blocks(classification)
+    ]
+    blocks = [
+        (
+            tuple(sorted((space.items[i] for i in items), key=repr)),
+            tuple(sorted((space.anonymized[j] for j in anons), key=repr)),
+        )
+        for items, anons in index_blocks
+    ]
+    return sorted(blocks, key=lambda block: (len(block[0]), tuple(map(repr, block[0]))))
+
+
+def bench_itemsets(smoke: bool, check: bool) -> list[dict]:
+    """Section 8.2's forced itemset identifications on recipe spaces,
+    checked against the explicit item-graph route."""
+    from repro.extensions import itemset_identifications
+
+    rows = []
+    for name in ("accidents",) if smoke else ("accidents", "pumsb"):
+        space = recipe_instance(name)
+        blocks, identify_s = best_of(5, itemset_identifications, space)
+        agrees = [(b.items, b.anonymized) for b in blocks] == explicit_route_blocks(space)
+        if check:
+            assert agrees, f"{name}: itemset blocks differ from the item-graph route"
+        row = {
+            "instance": f"{name}-delta-med",
+            "n": space.n,
+            "edges": space.edge_count(),
+            "blocks": len(blocks),
+            "largest_block": max(len(block) for block in blocks),
+            "identify_s": identify_s,
+            "agrees": agrees,
+        }
+        rows.append(row)
+        print(
+            f"  {row['instance']:18s} n={space.n:5d} edges={row['edges']:7d} "
+            f"blocks={row['blocks']:5d}  identify={identify_s * 1e3:8.3f}ms"
         )
     return rows
 
@@ -659,6 +707,8 @@ def main(argv=None) -> int:
     kernels = bench_kernels(smoke=args.smoke, check=True)
     print(f"streaming solver (bootstrap + {SOLVER_CONFIRMS} confirms):")
     solver_rows = bench_solver(smoke=args.smoke, check=True)
+    print("forced itemset identifications (Section 8.2):")
+    itemset_rows = bench_itemsets(smoke=args.smoke, check=True)
 
     if args.smoke:
         committed = Path(args.output)
@@ -691,6 +741,7 @@ def main(argv=None) -> int:
         "kernels": kernels,
         # Keeps hand-recorded entries (a baseline) beside the fresh rows.
         "solver": {**previous.get("solver", {}), "rows": solver_rows},
+        "itemsets": {**previous.get("itemsets", {}), "rows": itemset_rows},
     }
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")

@@ -9,8 +9,9 @@ previously emitted ``forced`` events never retract (short of the graph
 turning infeasible, which is itself monotone).
 
 Per step the solver runs one complete filter: the Dulmage–Mendelsohn /
-Régin classification (:func:`repro.graph.refine.classify_adjacency`)
-of the current graph, which decides every edge and detects
+Régin classification (:func:`repro.graph.refine.classify_adjacency`,
+minus its index validation, which the constructor already did) of the
+current graph, which decides every edge and detects
 Hall-condition infeasibility.  Figure 7's degree-1 cascade is a special
 case of that filter (a degree-1 node is a singleton component), so the
 staircase of Figure 6(a) comes out fully forced without a separate
@@ -30,7 +31,7 @@ from repro.budget import ComputeBudget
 from repro.errors import SolverError
 from repro.graph.bipartite import MappingSpace
 from repro.graph.propagation import DEFAULT_MAX_EDGES
-from repro.graph.refine import EdgeClassification, classify_adjacency
+from repro.graph.refine import EdgeClassification, _classify_rows
 
 from repro.attack.solver.events import Observation, SolverEvent
 
@@ -75,9 +76,9 @@ class ConsistencySolver:
         if n == 0:
             raise SolverError("a solver instance needs a non-empty domain")
         self._n = n
-        self._adjacency: list[set[int]] = []
+        self._adjacency: list[frozenset[int]] = []
         for i, row in enumerate(adjacency):
-            candidates = {int(j) for j in row}
+            candidates = frozenset(int(j) for j in row)
             if any(not 0 <= j < n for j in candidates):
                 raise SolverError(f"adjacency of item #{i} references an invalid index")
             self._adjacency.append(candidates)
@@ -178,7 +179,7 @@ class ConsistencySolver:
                 n=n,
                 forced={},
                 undecided=tuple(frozenset() for _ in range(n)),
-                forbidden=tuple(frozenset(row) for row in self._adjacency),
+                forbidden=tuple(self._adjacency),
                 infeasible=True,
                 hall_witness=(empty,),
                 reason=f"item #{empty} has no candidates left",
@@ -188,7 +189,7 @@ class ConsistencySolver:
             raise SolverError(
                 f"instance has {edges} edges, beyond the {self._max_edges}-edge guard"
             )
-        return classify_adjacency(self._adjacency, budget=self._budget)
+        return _classify_rows(self._adjacency, self._budget)
 
     # -- event emission ------------------------------------------------------
 
@@ -280,9 +281,9 @@ class ConsistencySolver:
     def _restrict(self, item: int, allowed: set[int]) -> bool:
         if not 0 <= item < self._n:
             raise SolverError(f"observation references item #{item}, domain is {self._n}")
-        before = len(self._adjacency[item])
-        self._adjacency[item] &= allowed
-        return len(self._adjacency[item]) != before
+        row = self._adjacency[item]
+        self._adjacency[item] = row & allowed
+        return len(self._adjacency[item]) != len(row)
 
     def _apply(self, observation: Observation) -> bool:
         kind = observation.kind

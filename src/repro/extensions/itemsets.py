@@ -4,26 +4,25 @@ Even when no single item can be distinguished, a *set* of items can be
 identified with certainty: in Figure 6(b), nothing separates 1' from 2',
 yet every consistent mapping sends ``{1', 2'}`` onto ``{1, 2}``.
 
-The complete structure of such forced identifications comes from
-matching theory (the Dulmage–Mendelsohn decomposition of a perfectly
-matchable bipartite graph): fix any consistent perfect matching ``M`` and
-orient each non-matching edge ``(x', y)`` as ``y -> M^{-1}(x')``.  An
-edge lies in *some* perfect matching iff it is a matching edge or its
-endpoints lie in the same strongly connected component; consequently
-every consistent mapping sends each SCC's item set exactly onto its
-matched anonymized set.  The SCCs are therefore the minimal indisputable
-itemset identifications — singleton SCCs are the items cracked with
-certainty (Figure 6(a)'s staircase).
+Those sets are the blocks of the Dulmage–Mendelsohn decomposition of the
+consistency graph, which :mod:`repro.graph.refine` already computes
+(:func:`~repro.graph.refine.classify_edges`, on the twin quotient for
+frequency spaces).  This module only reads that classification: each
+forced pair is a singleton block — an item cracked with certainty, as in
+Figure 6(a)'s staircase — and each connected component of the undecided
+edges (:func:`~repro.graph.refine.reduced_blocks`) is one minimal
+itemset that every consistent mapping sends onto its anonymized set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import GraphError
+from repro.errors import InfeasibleMatchingError
 from repro.graph.bipartite import MappingSpace
-from repro.graph.matching import group_feasible_matching
+from repro.graph.blocks import Block
 from repro.graph.propagation import DEFAULT_MAX_EDGES
+from repro.graph.refine import EdgeClassification, classify_edges, reduced_blocks
 
 __all__ = ["IdentifiedBlock", "itemset_identifications", "surely_cracked_items"]
 
@@ -48,54 +47,11 @@ class IdentifiedBlock:
         return len(self.items) == 1
 
 
-def _tarjan_scc(n: int, successors: list[list[int]]) -> list[int]:
-    """Iterative Tarjan SCC; returns the component id of each node."""
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    component = [-1] * n
-    counter = 0
-    n_components = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, edge_position = work[-1]
-            if edge_position == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            successors_of_node = successors[node]
-            while edge_position < len(successors_of_node):
-                successor = successors_of_node[edge_position]
-                edge_position += 1
-                if index_of[successor] == -1:
-                    work[-1] = (node, edge_position)
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if on_stack[successor]:
-                    low[node] = min(low[node], index_of[successor])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component[member] = n_components
-                    if member == node:
-                        break
-                n_components += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return component
+def _feasible_classification(space: MappingSpace, max_edges: int) -> EdgeClassification:
+    classification = classify_edges(space, max_edges=max_edges)
+    if classification.infeasible:
+        raise InfeasibleMatchingError(classification.reason)
+    return classification
 
 
 def itemset_identifications(
@@ -104,42 +60,19 @@ def itemset_identifications(
     """All minimal forced itemset identifications of a mapping space.
 
     Requires a consistent perfect matching to exist (otherwise
-    :class:`~repro.errors.InfeasibleMatchingError` propagates).  Returns
-    blocks sorted by size then by item representation; their item sets
-    partition the domain.
+    :class:`~repro.errors.InfeasibleMatchingError` is raised with the
+    classification's Hall-condition account).  Returns blocks sorted by
+    size then by item representation; their item sets partition the
+    domain.
     """
-    total_edges = space.edge_count()
-    if total_edges > max_edges:
-        raise GraphError(
-            f"itemset identification materializes the adjacency; {total_edges} "
-            f"edges exceed the {max_edges}-edge guard"
-        )
-    n = space.n
-    match = group_feasible_matching(space)
-    item_of_anon = [0] * n
-    for i in range(n):
-        item_of_anon[int(match[i])] = i
-
-    successors: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        own = int(match[i])
-        for j in space.candidates(i):
-            if j != own:
-                successors[i].append(item_of_anon[j])
-
-    component = _tarjan_scc(n, successors)
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(component[i], []).append(i)
-
+    classification = _feasible_classification(space, max_edges)
+    forced = (Block((i,), (j,)) for i, j in classification.forced.items())
     blocks = [
         IdentifiedBlock(
-            items=tuple(space.items[i] for i in sorted(item_indices, key=lambda i: repr(space.items[i]))),
-            anonymized=tuple(
-                sorted((space.anonymized[int(match[i])] for i in item_indices), key=repr)
-            ),
+            items=tuple(sorted((space.items[i] for i in block.item_indices), key=repr)),
+            anonymized=tuple(sorted((space.anonymized[j] for j in block.anon_indices), key=repr)),
         )
-        for item_indices in members.values()
+        for block in (*forced, *reduced_blocks(classification))
     ]
     blocks.sort(key=lambda block: (len(block.items), tuple(map(repr, block.items))))
     return blocks
@@ -148,17 +81,13 @@ def itemset_identifications(
 def surely_cracked_items(space: MappingSpace, max_edges: int = DEFAULT_MAX_EDGES) -> list:
     """Items identified with certainty by every consistent mapping.
 
-    These are the singleton blocks whose forced pair is the true pair —
-    with a compliant belief every singleton block is a sure crack, since
-    the forced anonymized partner must then be the true one.
+    These are the forced pairs that are the true pairs — with a
+    compliant belief every forced pair is a sure crack, since the forced
+    anonymized partner must then be the true one.  Sorted by item
+    representation.
     """
-    cracked = []
-    for block in itemset_identifications(space, max_edges=max_edges):
-        if not block.is_sure_crack:
-            continue
-        item = block.items[0]
-        item_index = space.item_index(item)
-        anon = block.anonymized[0]
-        if space.anonymized[space.true_partner(item_index)] == anon:
-            cracked.append(item)
-    return cracked
+    classification = _feasible_classification(space, max_edges)
+    cracked = [
+        space.items[i] for i, j in classification.forced.items() if space.true_partner(i) == j
+    ]
+    return sorted(cracked, key=repr)

@@ -1,9 +1,10 @@
 """Crack marginals: ``P(x is cracked)`` under a uniform consistent mapping.
 
 The expected number of cracks is the sum of per-item crack
-probabilities; this module computes the per-item values themselves,
-which the attack workbench (:mod:`repro.attack`) and the risk profile
-consume.  Three methods, dispatched by structure:
+probabilities; this module computes the per-item values themselves, as
+the public :func:`crack_marginals` (the attack workbench's guesses run
+their own Gibbs tallies and the risk profile uses ``1/O_x``, so nothing
+else in the package calls it).  Three methods, dispatched by structure:
 
 * **chain** — closed form: the boundary flows of a chain are forced, so
   a shared item maps to its true group with probability ``c_i/s_i`` or

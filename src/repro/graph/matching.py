@@ -1,9 +1,8 @@
 """Maximum matchings and consistent-matching feasibility.
 
 The paper notes (Section 2.3) that a belief function need not admit any
-consistent perfect matching at all.  The simulator (Section 7.1) and the
-itemset-identification extension both need an initial perfect matching;
-this module provides one:
+consistent perfect matching at all.  The simulator (Section 7.1) needs
+an initial perfect matching; this module provides one:
 
 * :func:`hopcroft_karp` — textbook Hopcroft–Karp maximum bipartite
   matching for arbitrary (explicit) adjacency;

@@ -38,6 +38,11 @@ count over once forced pairs and forbidden edges are peeled off
 (removing them changes neither the permanent nor the surviving
 marginals).
 
+This is the package's one Dulmage–Mendelsohn implementation: the
+streaming solver (:mod:`repro.attack.solver`), the recipe's attack
+stage and the forced itemset identifications of
+:mod:`repro.extensions.itemsets` all read it.
+
 Everything here is exact integer arithmetic and deterministic
 (ascending-index iteration throughout); all loops poll an optional
 :class:`~repro.budget.ComputeBudget`.
@@ -203,9 +208,9 @@ class EdgeClassification:
         frequency-group pairs; ``undecided`` and ``forbidden`` are then
         built from it on first read.
     certified_cracks:
-        :meth:`forced_cracks` of the classified space, counted while
-        classifying; set by :func:`classify_edges` for frequency spaces,
-        ``None`` otherwise.
+        Forced pairs that coincide with the ground truth (certain
+        cracks), counted while classifying; set by :func:`classify_edges`
+        for frequency spaces, ``None`` otherwise.
     """
 
     n: int
@@ -242,24 +247,16 @@ class EdgeClassification:
             return UNDECIDED
         return NON_EDGE
 
-    def forced_cracks(self, space: MappingSpace) -> int:
-        """Forced pairs coinciding with the ground truth — certain cracks."""
-        return sum(1 for i, j in self.forced.items() if space.true_partner(i) == j)
 
-
-def _normalized_rows(
-    adjacency: Sequence[Iterable[int]],
-) -> tuple[list[frozenset[int]], int]:
+def _normalized_rows(adjacency: Sequence[Iterable[int]]) -> list[frozenset[int]]:
     n = len(adjacency)
     rows: list[frozenset[int]] = []
-    edges = 0
     for i, row in enumerate(adjacency):
         fs = frozenset(int(j) for j in row)
         if any(not 0 <= j < n for j in fs):
             raise GraphError(f"adjacency of item #{i} references an invalid index")
         rows.append(fs)
-        edges += len(fs)
-    return rows, edges
+    return rows
 
 
 def _hall_witness(
@@ -358,7 +355,13 @@ def classify_adjacency(
     ``adjacency[i]`` lists the anon indices item ``i`` may map to; the
     graph is square (``n_right = len(adjacency)``).
     """
-    rows, _ = _normalized_rows(adjacency)
+    return _classify_rows(_normalized_rows(adjacency), budget)
+
+
+def _classify_rows(
+    rows: Sequence[frozenset[int]], budget: ComputeBudget | None
+) -> EdgeClassification:
+    """:func:`classify_adjacency` on rows already validated as anon-index sets."""
     n = len(rows)
     if budget is not None:
         budget.poll()

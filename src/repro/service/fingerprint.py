@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.data.database import FrequencySource, as_profile
-from repro.errors import RecipeError
+from repro.errors import FormatError, RecipeError
 from repro.io import SCHEMA_VERSION, _encode_item
 
 __all__ = [
@@ -55,7 +56,11 @@ class AssessmentParams:
 
     Mirrors the signature of :func:`repro.recipe.assess.assess_risk`;
     *seed* replaces the ``rng`` argument so the request stays hashable
-    and serializable.
+    and serializable.  This is the one parameter check of ``POST
+    /assess`` and ``repro-batch`` manifests: *runs* and *seed* must be
+    integers (a float, bool or string is rejected rather than truncated
+    into another request; NumPy integers pass), and *seed* must fit the
+    generator's unsigned 64-bit state.
     """
 
     tolerance: float
@@ -65,6 +70,12 @@ class AssessmentParams:
     interest: frozenset[object] | None = field(default=None)
 
     def __post_init__(self) -> None:
+        for name in ("runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise FormatError(f"{name} must be a JSON integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.tolerance <= 1.0:
             raise RecipeError(f"tolerance must be in [0, 1], got {self.tolerance}")
         if self.runs <= 0:

@@ -31,7 +31,7 @@ from typing import Any, Iterator
 
 import repro
 from repro.errors import BudgetExceeded, ReproError
-from repro.io import assessment_to_json, json_int, profile_from_json
+from repro.io import assessment_to_json, profile_from_json
 from repro.service.admission import (
     AdmissionController,
     AdmissionTimeout,
@@ -44,10 +44,6 @@ from repro.service.engine import AssessmentEngine
 from repro.service.fingerprint import AssessmentParams
 
 __all__ = ["RouteResponse", "ServiceCore", "MAX_BODY_BYTES"]
-
-#: Largest accepted ``seed`` (NumPy seeds the generator with unsigned
-#: 64-bit state; the fingerprint must match what the engine computes).
-_MAX_SEED = 2**64 - 1
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
@@ -251,19 +247,18 @@ class ServiceCore:
             tolerance = float(payload["tolerance"])
             if not tolerance >= 0:
                 raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-            runs = json_int(payload.get("runs", 5), "runs")
-            if runs < 1:
+            runs = payload.get("runs", 5)
+            if type(runs) is int and runs < 1:
+                # AssessmentParams rejects it as a RecipeError; the HTTP
+                # API has always answered ValueError, like tolerance.
                 raise ValueError(f"runs must be >= 1, got {runs}")
-            seed = json_int(payload.get("seed", 0), "seed")
-            if not 0 <= seed <= _MAX_SEED:
-                raise ValueError(f"seed must be in [0, 2**64), got {seed}")
             params = AssessmentParams(
                 tolerance=tolerance,
                 delta=(
                     None if payload.get("delta") is None else float(payload["delta"])
                 ),
                 runs=runs,
-                seed=seed,
+                seed=payload.get("seed", 0),
                 interest=None if interest is None else frozenset(interest),
             )
             deadline = payload.get("deadline_seconds")

@@ -199,3 +199,41 @@ class TestCommittedBenchReport:
         report = {"trajectory": [{}], "chaos": [{}]}
         path.write_text(json.dumps(report))
         assert _committed_bench_report(path, ("trajectory", "chaos")) == report
+
+
+class TestBatchManifestParams:
+    """``repro-batch`` applies the same ``runs``/``seed`` rule as ``POST /assess``."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"seed": 1.5},
+            {"seed": -5},
+            {"seed": 2**64},
+            {"seed": "1"},
+            {"runs": 2.5},
+            {"runs": True},
+        ],
+        ids=repr,
+    )
+    def test_bad_entry_is_an_error_record_without_compute(
+        self, tmp_path, capsys, monkeypatch, field
+    ):
+        import json
+
+        from repro.cli import batch_main
+        from repro.service.engine import AssessmentEngine
+
+        def no_compute(self, requests, **kwargs):
+            raise AssertionError(f"a rejected entry reached the engine: {requests!r}")
+
+        monkeypatch.setattr(AssessmentEngine, "assess_many", no_compute)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {"defaults": {"tolerance": 0.01}, "datasets": [{"benchmark": "chess", **field}]}
+            )
+        )
+        assert batch_main([str(manifest)]) == 1
+        [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert set(record) == {"name", "error"}

@@ -1,10 +1,11 @@
 """Unit tests for the Section 8 extensions."""
 
+import numpy as np
 import pytest
 
-from repro.beliefs import point_belief
+from repro.beliefs import interval_belief, point_belief
 from repro.core import o_estimate
-from repro.errors import DomainMismatchError, GraphError
+from repro.errors import DomainMismatchError, GraphError, InfeasibleMatchingError
 from repro.extensions import (
     AttributeKnowledge,
     Between,
@@ -17,7 +18,9 @@ from repro.extensions import (
     itemset_identifications,
     surely_cracked_items,
 )
-from repro.graph import space_from_frequencies
+from repro.graph import ExplicitMappingSpace, space_from_frequencies
+from repro.graph.blocks import _UnionFind
+from repro.graph.permanent import enumerate_consistent_matchings
 
 
 @pytest.fixture
@@ -167,3 +170,100 @@ class TestItemsetIdentifications:
     def test_block_len(self):
         block = IdentifiedBlock(items=(1, 2), anonymized=("a", "b"))
         assert len(block) == 2
+
+    def test_infeasible_identification_names_hall_witness(self):
+        # Items 0 and 1 both admit only anon 0: no consistent mapping.
+        space = ExplicitMappingSpace(
+            items=("a", "b", "c"),
+            anonymized=("a'", "b'", "c'"),
+            adjacency=[[0], [0], [0, 1, 2]],
+            true_partner_of=[0, 1, 2],
+        )
+        for identify in (itemset_identifications, surely_cracked_items):
+            with pytest.raises(InfeasibleMatchingError) as excinfo:
+                identify(space)
+            assert str(excinfo.value).startswith("Hall's condition fails")
+
+
+def random_explicit_space(rng: np.random.Generator) -> ExplicitMappingSpace:
+    """Up to 7 items, random density, the true edge kept 80% of the time."""
+    n = int(rng.integers(1, 8))
+    density = float(rng.uniform(0.15, 0.8))
+    truth = rng.permutation(n).tolist()
+    adjacency = []
+    for i in range(n):
+        row = {j for j in range(n) if rng.random() < density}
+        if rng.random() < 0.8:
+            row.add(truth[i])
+        adjacency.append(sorted(row))
+    return ExplicitMappingSpace(
+        items=tuple(f"x{i}" for i in range(n)),
+        anonymized=tuple(f"x{i}'" for i in range(n)),
+        adjacency=adjacency,
+        true_partner_of=truth,
+    )
+
+
+def random_interval_space(rng: np.random.Generator):
+    """Up to 7 items over a few tied frequencies, intervals not always compliant."""
+    n = int(rng.integers(1, 8))
+    levels = rng.choice(np.arange(1, 10) / 10, size=int(rng.integers(1, 5)), replace=False)
+    frequencies = {i: float(rng.choice(levels)) for i in range(n)}
+    intervals = {}
+    for i, f in frequencies.items():
+        centre = f if rng.random() < 0.8 else float(rng.choice(levels))
+        width = float(rng.choice([0.0, 0.1, 0.2, 0.35]))
+        intervals[i] = (max(0.0, centre - width), min(1.0, centre + width))
+    return space_from_frequencies(interval_belief(intervals), frequencies)
+
+
+class TestIdentificationsAgainstBruteForce:
+    """Blocks are the connected components of the edges some consistent
+    mapping uses; sure cracks are the items that every mapping sends to
+    their true partner."""
+
+    @staticmethod
+    def check(space):
+        n = space.n
+        matchings = list(enumerate_consistent_matchings(space))
+        if not matchings:
+            with pytest.raises(InfeasibleMatchingError):
+                itemset_identifications(space)
+            with pytest.raises(InfeasibleMatchingError):
+                surely_cracked_items(space)
+            return
+        reachable = [{m[i] for m in matchings} for i in range(n)]
+        uf = _UnionFind(2 * n)
+        for i in range(n):
+            for j in reachable[i]:
+                uf.union(i, n + j)
+        components: dict[int, tuple[set, set]] = {}
+        for node in range(2 * n):
+            items, anons = components.setdefault(uf.find(node), (set(), set()))
+            if node < n:
+                items.add(space.items[node])
+            else:
+                anons.add(space.anonymized[node - n])
+        expected = {(frozenset(items), frozenset(anons)) for items, anons in components.values()}
+
+        blocks = itemset_identifications(space)
+        assert {(frozenset(b.items), frozenset(b.anonymized)) for b in blocks} == expected
+        keys = [(len(b.items), tuple(map(repr, b.items))) for b in blocks]
+        assert keys == sorted(keys)
+        assert all(list(b.items) == sorted(b.items, key=repr) for b in blocks)
+        sure = [
+            space.items[i]
+            for i in range(n)
+            if reachable[i] == {space.true_partner(i)}
+        ]
+        assert surely_cracked_items(space) == sorted(sure, key=repr)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_explicit_spaces(self, chunk):
+        for seed in range(100 * chunk, 100 * (chunk + 1)):
+            self.check(random_explicit_space(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_interval_spaces(self, chunk):
+        for seed in range(100 * chunk, 100 * (chunk + 1)):
+            self.check(random_interval_space(np.random.default_rng(seed)))
