@@ -13,8 +13,9 @@ the hacker may use.  This subpackage provides:
 * exact machinery: matrix permanents (Ryser), matching enumeration, and
   maximum matching / feasibility checks;
 * the structure-exploiting exact engine (:mod:`repro.graph.exact`):
-  block decomposition plus a consecutive-ones permanent DP, dispatched
-  by :func:`~repro.graph.exact.exact_strategy`;
+  block decomposition plus a consecutive-ones permanent DP, planned by
+  :func:`~repro.graph.exact.exact_strategy` and cost-gated by
+  :func:`~repro.graph.exact.gated_marginals`;
 * the degree-1 propagation procedure of Figure 7.
 """
 

@@ -13,11 +13,12 @@ lifts the cap wherever the graph has structure:
 3. **Ryser** stays the engine for small explicit blocks (arbitrary
    adjacency, Section 8.1 graphs).
 
-:func:`exact_strategy` inspects a space and reports which engine would
-run, per block, plus a cost hint so callers (the assessment service, the
-``auto`` marginal method) can decide whether exact is worth it; the
-``*_exact`` functions execute the plan.  Counting uses exact Python
-integers, so wherever Ryser is also feasible the two agree bit for bit.
+:func:`exact_strategy` inspects a space and prices the plan;
+:func:`gated_marginals` is the one cost gate in front of the engine
+(the recipe's interval rung, ``best_expected_cracks`` and the ``auto``
+marginal method all ask it whether exact runs); the ``*_exact``
+functions execute the plan.  Counting uses exact Python integers, so
+wherever Ryser is also feasible the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import GraphError, InfeasibleMatchingError
+from repro.budget import ComputeBudget
+from repro.errors import BudgetExceeded, GraphError, InfeasibleMatchingError
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
 from repro.graph.blocks import Block, BlockDecomposition, decompose
 from repro.graph.groups import BlockProblem
@@ -41,8 +43,10 @@ from repro.graph.intervaldp import (
 from repro.graph.kernels import permanent_batch
 
 __all__ = [
+    "EXACT_COST_BUDGET",
     "ExactPlan",
     "exact_strategy",
+    "gated_marginals",
     "count_matchings_exact",
     "expected_cracks_exact",
     "crack_marginals_exact",
@@ -62,6 +66,11 @@ STRATEGY_INTERVAL_DP = "interval-dp"
 STRATEGY_BLOCK_INTERVAL_DP = "block-interval-dp"
 STRATEGY_INFEASIBLE = "infeasible"
 
+#: Plans whose :attr:`ExactPlan.cost_hint` exceeds this do not run
+#: (:func:`gated_marginals`): the recipe's interval rung keeps the
+#: O-estimate alone and the other callers drop to sampling.
+EXACT_COST_BUDGET = 50_000_000
+
 
 @dataclass(frozen=True)
 class ExactPlan:
@@ -79,7 +88,7 @@ class ExactPlan:
     matchable:
         Cheap necessary condition for a perfect matching; when ``False``
         the permanent is 0 and exact answers are trivial.
-    n, n_blocks, largest_block, block_sizes, block_strategies:
+    n, n_blocks, largest_block, block_sizes:
         Shape of the decomposition.
     cost_hint:
         Rough operation count for an exact expected-cracks computation —
@@ -97,8 +106,7 @@ class ExactPlan:
     n_blocks: int
     largest_block: int
     block_sizes: tuple[int, ...]
-    block_strategies: tuple[str, ...]
-    cost_hint: float
+    cost_hint: int
     reason: str | None = None
 
 
@@ -141,11 +149,11 @@ def _dp_cost_hint(
 
 
 def exact_strategy(space: MappingSpace) -> ExactPlan:
-    """Inspect a space and pick the exact engine for each block.
+    """Inspect a space and price the exact engine's plan for it.
 
-    Frequency blocks run the interval DP (labelled ``"ryser"`` when
-    the planner's cost model prices a Ryser walk cheaper); explicit
-    blocks run batched Ryser up to ``RYSER_BLOCK_LIMIT`` items.
+    Frequency blocks run the interval DP; explicit blocks run batched
+    Ryser up to ``RYSER_BLOCK_LIMIT`` items, beyond which the plan is
+    infeasible.
     """
     decomposition = decompose(space)
     if not decomposition.matchable:
@@ -159,7 +167,6 @@ def exact_strategy(space: MappingSpace) -> ExactPlan:
             n_blocks=len(decomposition.blocks),
             largest_block=decomposition.largest_block,
             block_sizes=decomposition.block_sizes,
-            block_strategies=(),
             cost_hint=0,
             reason=decomposition.reason,
         )
@@ -167,25 +174,23 @@ def exact_strategy(space: MappingSpace) -> ExactPlan:
     problems = (
         space.analysis().problems if isinstance(space, FrequencyMappingSpace) else None
     )
-    block_strategies: list[str] = []
     cost = 0
     feasible = True
     reason = None
     for index, block in enumerate(decomposition.blocks):
+        # The per-block price below is uncalibrated; a cost model fitted
+        # to measured DP transitions and Ryser subsets is to replace it.
+        # A frequency block always runs the DP, whichever price it gets.
         if problems is not None:
             capacities, classes, width = problems[index]
             hint = _dp_cost_hint(capacities, classes, width)
             if block.n > RYSER_BLOCK_LIMIT or hint <= block.n * 2**block.n:
-                block_strategies.append(STRATEGY_INTERVAL_DP)
                 cost += hint * max(len(classes), 1)
             else:
-                block_strategies.append(STRATEGY_RYSER)
                 cost += block.n**2 * 2**block.n
         elif block.n <= RYSER_BLOCK_LIMIT:
-            block_strategies.append(STRATEGY_RYSER)
             cost += block.n**2 * 2**block.n
         else:
-            block_strategies.append(STRATEGY_INFEASIBLE)
             feasible = False
             reason = (
                 f"a {block.n}-item block has no structure the exact engine "
@@ -204,10 +209,30 @@ def exact_strategy(space: MappingSpace) -> ExactPlan:
         n_blocks=len(decomposition.blocks),
         largest_block=decomposition.largest_block,
         block_sizes=decomposition.block_sizes,
-        block_strategies=tuple(block_strategies),
         cost_hint=cost,
         reason=reason,
     )
+
+
+def gated_marginals(
+    space: MappingSpace, budget: ComputeBudget | None = None
+) -> tuple[ExactPlan, np.ndarray | None]:
+    """The plan for *space* and, when exact runs, its crack marginals.
+
+    The one cost gate of the exact engine.  The marginals are ``None``
+    when the plan is unmatchable or infeasible, when its cost hint
+    exceeds :data:`EXACT_COST_BUDGET`, or when the run stops on the DP's
+    work bounds (:class:`~repro.errors.GraphError`) or on *budget*
+    (:class:`~repro.errors.BudgetExceeded`): exact is an enrichment, so
+    callers fall back instead of failing.
+    """
+    plan = exact_strategy(space)
+    if not (plan.matchable and plan.feasible) or plan.cost_hint > EXACT_COST_BUDGET:
+        return plan, None
+    try:
+        return plan, crack_marginals_exact(space, budget=DPBudget(compute=budget))
+    except (BudgetExceeded, GraphError):
+        return plan, None
 
 
 def _overall_name(space: MappingSpace, decomposition: BlockDecomposition) -> str:

@@ -11,7 +11,9 @@ else in the package calls it).  Three methods, dispatched by structure:
   ``d_i/s_i`` and within the group uniformly (exact, ``O(n)``);
 * **exact** — the structure-exploiting engine of
   :mod:`repro.graph.exact`: block decomposition plus interval DP on
-  frequency blocks, Ryser minors on small explicit blocks;
+  frequency blocks, Ryser minors on small explicit blocks.  ``auto``
+  runs it when the engine's one cost gate,
+  :func:`~repro.graph.exact.gated_marginals`, does;
 * **mcmc** — indicator averages from the Gibbs sampler (general
   frequency spaces) or the swap sampler (explicit spaces).
 """
@@ -20,15 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import GraphError, InfeasibleMatchingError, NotAChainError
+from repro.errors import GraphError, NotAChainError
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
+from repro.graph.exact import crack_marginals_exact, gated_marginals
 
 __all__ = ["crack_marginals"]
-
-#: ``auto`` runs the exact engine whenever its cost hint is below this —
-#: calibrated so every space the historical ``n <= 11`` rule accepted
-#: still runs exact, plus any larger space whose blocks are cheap.
-_AUTO_EXACT_BUDGET = 5e6
 
 
 def _chain_marginals(space: FrequencyMappingSpace) -> np.ndarray:
@@ -52,15 +50,6 @@ def _chain_marginals(space: FrequencyMappingSpace) -> np.ndarray:
         stay_probability = (c_i / s_i) if in_lower else ((s_i - c_i) / s_i)
         marginals[i] = stay_probability / group_size
     return marginals
-
-
-def _exact_marginals(space: MappingSpace) -> np.ndarray:
-    from repro.graph.exact import crack_marginals_exact
-
-    try:
-        return crack_marginals_exact(space)
-    except InfeasibleMatchingError as error:
-        raise GraphError("no consistent perfect matching exists") from error
 
 
 def _mcmc_marginals(
@@ -109,8 +98,8 @@ def crack_marginals(
     space:
         The consistent-mapping space.
     method:
-        ``"auto"`` (chain closed form if possible, exact if tiny, else
-        MCMC), or one of ``"chain"``, ``"exact"``, ``"mcmc"``.
+        ``"auto"`` (chain closed form if possible, exact if the cost
+        gate runs it, else MCMC), or one of ``"chain"``, ``"exact"``, ``"mcmc"``.
     n_samples, rng:
         MCMC budget and randomness.
 
@@ -133,16 +122,11 @@ def crack_marginals(
         elif method == "chain":
             raise NotAChainError("chain marginals need a frequency mapping space")
     if method == "exact":
-        return _exact_marginals(space)
+        return crack_marginals_exact(space)
     if method == "auto":
-        from repro.graph.exact import exact_strategy
-
-        plan = exact_strategy(space)
+        plan, marginals = gated_marginals(space)
         if not plan.matchable:
             raise GraphError("no consistent perfect matching exists")
-        if plan.feasible and plan.cost_hint <= _AUTO_EXACT_BUDGET:
-            try:
-                return _exact_marginals(space)
-            except GraphError:
-                pass  # DP budget blown mid-run: fall through to MCMC
+        if marginals is not None:
+            return marginals
     return _mcmc_marginals(space, n_samples, rng)

@@ -30,9 +30,9 @@ from repro.core.alpha import alpha_max as compute_alpha_max
 from repro.core.oestimate import OEstimateResult, o_estimate
 from repro.data.database import FrequencySource
 from repro.data.frequency import FrequencyGroups
-from repro.errors import BudgetExceeded, GraphError, InfeasibleMatchingError, RecipeError
+from repro.errors import BudgetExceeded, GraphError, RecipeError
 from repro.graph.bipartite import FrequencyMappingSpace, space_from_frequencies
-from repro.simulation.exact import EXACT_COST_BUDGET
+from repro.graph.exact import gated_marginals
 
 __all__ = ["AttackSummary", "Decision", "RecipeStages", "RiskAssessment", "assess_risk"]
 
@@ -48,23 +48,12 @@ def _exact_marginals(
     alone.  The marginals do not depend on the interest subset, so one
     result serves every subset (:func:`_exact_cracks`).
     """
-    from repro.graph.exact import crack_marginals_exact, exact_strategy
-    from repro.graph.intervaldp import DPBudget
-
-    plan = exact_strategy(space)
+    plan, marginals = gated_marginals(space, budget)
     if not plan.matchable:
         return np.zeros(space.n), plan.strategy
-    if not plan.feasible or plan.cost_hint > EXACT_COST_BUDGET:
+    if marginals is None:
         return None, None
-    try:
-        return crack_marginals_exact(space, budget=DPBudget(compute=budget)), plan.strategy
-    except BudgetExceeded:
-        # Deadline hit inside the exact refinement: it is an optional
-        # enrichment of the interval rung, so degrade to the O-estimate
-        # alone rather than failing the whole assessment.
-        return None, None
-    except (GraphError, InfeasibleMatchingError):
-        return None, None
+    return marginals, plan.strategy
 
 
 def _exact_cracks(

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.data.database import FrequencySource, as_profile
-from repro.errors import FormatError, RecipeError
+from repro.errors import FormatError
 from repro.io import SCHEMA_VERSION, _encode_item
 
 __all__ = [
@@ -58,9 +58,12 @@ class AssessmentParams:
     *seed* replaces the ``rng`` argument so the request stays hashable
     and serializable.  This is the one parameter check of ``POST
     /assess`` and ``repro-batch`` manifests: *runs* and *seed* must be
-    integers (a float, bool or string is rejected rather than truncated
-    into another request; NumPy integers pass), and *seed* must fit the
-    generator's unsigned 64-bit state.
+    integers (a float, bool or string raises
+    :class:`~repro.errors.FormatError` rather than being truncated into
+    another request; NumPy integers pass), and every out-of-range value
+    — *tolerance* outside ``[0, 1]``, *runs* below 1, a *seed* outside
+    the generator's unsigned 64-bit state, an empty *interest* — raises
+    :class:`ValueError`, which the HTTP API answers as a 400.
     """
 
     tolerance: float
@@ -77,13 +80,13 @@ class AssessmentParams:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.tolerance <= 1.0:
-            raise RecipeError(f"tolerance must be in [0, 1], got {self.tolerance}")
-        if self.runs <= 0:
-            raise RecipeError(f"need at least one run, got {self.runs}")
+            raise ValueError(f"tolerance must be in [0, 1], got {self.tolerance}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.interest is not None and not isinstance(self.interest, frozenset):
             object.__setattr__(self, "interest", frozenset(self.interest))
         if self.interest is not None and not self.interest:
-            raise RecipeError("the interest subset must be non-empty")
+            raise ValueError("the interest subset must be non-empty")
 
     def canonical(self) -> dict[str, Any]:
         """A JSON-ready, order-independent representation."""

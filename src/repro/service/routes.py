@@ -244,20 +244,12 @@ class ServiceCore:
                 # Popped, so the tagged lists die inside the pause.
                 profile = profile_from_json(payload.pop("profile"))
             interest = payload.get("interest")
-            tolerance = float(payload["tolerance"])
-            if not tolerance >= 0:
-                raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-            runs = payload.get("runs", 5)
-            if type(runs) is int and runs < 1:
-                # AssessmentParams rejects it as a RecipeError; the HTTP
-                # API has always answered ValueError, like tolerance.
-                raise ValueError(f"runs must be >= 1, got {runs}")
             params = AssessmentParams(
-                tolerance=tolerance,
+                tolerance=float(payload["tolerance"]),
                 delta=(
                     None if payload.get("delta") is None else float(payload["delta"])
                 ),
-                runs=runs,
+                runs=payload.get("runs", 5),
                 seed=payload.get("seed", 0),
                 interest=None if interest is None else frozenset(interest),
             )

@@ -24,21 +24,15 @@ import numpy as np
 
 from repro.budget import ComputeBudget, PartialEstimate
 from repro.core.chain import chain_from_space
-from repro.errors import BudgetExceeded, GraphError, NotAChainError, SimulationError
+from repro.errors import BudgetExceeded, NotAChainError, SimulationError
 from repro.graph.bipartite import FrequencyMappingSpace, MappingSpace
+from repro.graph.exact import gated_marginals
 
 __all__ = [
-    "EXACT_COST_BUDGET",
     "sample_chain_cracks",
     "simulate_chain_expected_cracks",
     "best_expected_cracks",
 ]
-
-#: Exact-engine cost hints below this run on the spot (see
-#: :func:`repro.graph.exact.exact_strategy`): pricier plans drop to the
-#: sampling rungs of the ladder, and the recipe's interval rung keeps the
-#: O-estimate alone.
-EXACT_COST_BUDGET = 5e7
 
 
 def _boundary_membership(space: FrequencyMappingSpace):
@@ -180,15 +174,14 @@ def best_expected_cracks(
     space: MappingSpace,
     n_samples: int = 1000,
     rng: np.random.Generator | None = None,
-    exact_budget: float = EXACT_COST_BUDGET,
     budget: ComputeBudget | None = None,
 ) -> tuple[float, float, str]:
     """Estimate ``E[X]`` by the best rung of the strategy ladder.
 
-    Tries, in order: the structure-exploiting exact engine (when
-    :func:`repro.graph.exact.exact_strategy` deems the plan feasible and
-    its cost hint is below *exact_budget*), the exact i.i.d. chain
-    sampler, then MCMC (Gibbs on frequency spaces, swap otherwise).
+    Tries, in order: the structure-exploiting exact engine (when its
+    cost gate, :func:`repro.graph.exact.gated_marginals`, runs it), the
+    exact i.i.d. chain sampler, then MCMC (Gibbs on frequency spaces,
+    swap otherwise).
 
     Returns ``(estimate, standard_error, strategy)`` where *strategy* is
     the plan name for exact rungs (``"interval-dp"``, ``"block-ryser"``,
@@ -202,20 +195,9 @@ def best_expected_cracks(
     :class:`~repro.errors.BudgetExceeded` carrying the partial estimate
     accumulated so far.
     """
-    from repro.graph.exact import exact_strategy, expected_cracks_exact
-    from repro.graph.intervaldp import DPBudget
-
-    plan = exact_strategy(space)
-    if plan.feasible and plan.cost_hint <= exact_budget:
-        try:
-            return expected_cracks_exact(space, budget=DPBudget(compute=budget)), 0.0, plan.strategy
-        except GraphError:
-            pass  # DP budget blown mid-run: drop to the sampling rungs
-        except BudgetExceeded:
-            # Deadline hit inside the exact rung: the exact engine has no
-            # partial answer, but a cheaper rung may still produce one
-            # before the next poll — degrade instead of failing.
-            pass
+    plan, marginals = gated_marginals(space, budget)
+    if marginals is not None:
+        return float(marginals.sum()), 0.0, plan.strategy
     if isinstance(space, FrequencyMappingSpace):
         try:
             mean, stderr = simulate_chain_expected_cracks(

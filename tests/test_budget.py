@@ -231,7 +231,7 @@ class TestSamplerBudgets:
         def exhausted(space, budget=None):
             raise BudgetExceeded("deadline hit in DP", reason="deadline")
 
-        monkeypatch.setattr(graph_exact, "expected_cracks_exact", exhausted)
+        monkeypatch.setattr(graph_exact, "crack_marginals_exact", exhausted)
         mean, stderr, strategy = best_expected_cracks(
             bigmart_space_h, n_samples=50, rng=np.random.default_rng(5),
             budget=ComputeBudget(seconds=1e6),

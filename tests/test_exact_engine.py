@@ -281,7 +281,7 @@ class TestBudgets:
 
     def test_auto_marginals_fall_back_to_mcmc_when_plan_expensive(self):
         # One dense 20-item explicit block: a feasible Ryser plan, but
-        # its 20^2 * 2^20 cost hint exceeds the auto budget.
+        # its 20^2 * 2^20 cost hint exceeds EXACT_COST_BUDGET.
         n = 20
         space = ExplicitMappingSpace(
             items=tuple(range(n)),
@@ -294,6 +294,43 @@ class TestBudgets:
         # The ignorant explicit space cracks each item with p = 1/n; MCMC
         # noise is fine, exactness would be suspicious.
         assert marginals.sum() == pytest.approx(1.0, abs=0.8)
+
+
+class TestExactGate:
+    """The recipe, the ladder and ``auto`` marginals share one budget."""
+
+    def test_zero_budget_closes_every_exact_route(
+        self, bigmart_space_h, two_blocks_space, monkeypatch
+    ):
+        import repro.graph.exact as graph_exact
+        from repro.data.database import FrequencyProfile
+        from repro.recipe.assess import assess_risk
+
+        profile = FrequencyProfile({i: 10 * i for i in range(1, 6)}, 100)
+
+        def auto_and_mcmc():
+            return (
+                crack_marginals(
+                    two_blocks_space, "auto", n_samples=50, rng=np.random.default_rng(4)
+                ),
+                crack_marginals(
+                    two_blocks_space, "mcmc", n_samples=50, rng=np.random.default_rng(4)
+                ),
+            )
+
+        assert assess_risk(profile, 0.1).exact_strategy == "block-interval-dp"
+        assert best_expected_cracks(bigmart_space_h)[2] == "interval-dp"
+        auto, _ = auto_and_mcmc()
+        assert np.array_equal(auto, crack_marginals_exact(two_blocks_space))
+
+        monkeypatch.setattr(graph_exact, "EXACT_COST_BUDGET", 0)
+        assert assess_risk(profile, 0.1).exact_strategy is None
+        _, _, strategy = best_expected_cracks(
+            bigmart_space_h, n_samples=50, rng=np.random.default_rng(5)
+        )
+        assert strategy in ("chain-sampler", "mcmc-gibbs")
+        auto, mcmc = auto_and_mcmc()
+        assert np.array_equal(auto, mcmc)
 
 
 class TestBlockDecomposition:

@@ -297,11 +297,15 @@ class TestRequestValidationHTTP:
         "overrides",
         [
             {"tolerance": -0.5},
+            {"tolerance": 1.5},
             {"runs": 0},
             {"seed": -3},
             {"seed": 2**64},
         ],
-        ids=["negative-tolerance", "zero-runs", "negative-seed", "huge-seed"],
+        ids=[
+            "negative-tolerance", "tolerance-above-one", "zero-runs",
+            "negative-seed", "huge-seed",
+        ],
     )
     def test_out_of_range_parameters_are_structured_400s(
         self, live_server, profile, overrides

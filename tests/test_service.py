@@ -92,11 +92,11 @@ class TestFingerprint:
         assert request_fingerprint(profile, a) == request_fingerprint(profile, b)
 
     def test_params_validated(self):
-        with pytest.raises(RecipeError):
+        with pytest.raises(ValueError):
             AssessmentParams(tolerance=1.5)
-        with pytest.raises(RecipeError):
+        with pytest.raises(ValueError):
             AssessmentParams(tolerance=0.1, runs=0)
-        with pytest.raises(RecipeError):
+        with pytest.raises(ValueError):
             AssessmentParams(tolerance=0.1, interest=frozenset())
 
     def test_derived_seed_deterministic_and_bounded(self, profile):
@@ -468,7 +468,7 @@ class TestBatchCLI:
         ]
         assert "assessment" in records[0]
         assert "FileNotFoundError" in records[1]["error"]
-        assert "RecipeError" in records[2]["error"]
+        assert "ValueError" in records[2]["error"]
 
     def test_all_failed_exits_nonzero(self, tmp_path, capsys):
         from repro.cli import batch_main
