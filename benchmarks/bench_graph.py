@@ -31,6 +31,7 @@ from repro.beliefs import interval_belief
 from repro.core.oestimate import o_estimate
 from repro.graph import (
     count_matchings_exact,
+    crack_distribution_exact,
     crack_marginals_exact,
     exact_strategy,
     space_from_frequencies,
@@ -484,7 +485,8 @@ def bench_exact_engine(sizes, check: bool) -> list[dict]:
         plan, plan_s = time_call(exact_strategy, space)
         count, dp_count_s = time_call(count_matchings_exact, space)
         marginals, dp_marginals_s = time_call(crack_marginals_exact, space)
-        expected = float(marginals.sum())
+        expected = float(marginals.sum())  # what expected_cracks_exact returns
+        law, dp_law_s = time_call(crack_distribution_exact, space)
         row = {
             "n": n,
             "strategy": plan.strategy,
@@ -494,9 +496,18 @@ def bench_exact_engine(sizes, check: bool) -> list[dict]:
             "plan_s": plan_s,
             "interval_dp_count_s": dp_count_s,
             "interval_dp_expected_s": dp_marginals_s,
+            "interval_dp_law_s": dp_law_s,
             "expected_cracks": expected,
             "matchings_log10": None if count <= 0 else len(str(count)) - 1,
         }
+        if check:
+            # Two of the DP's three sweeps cross-check: the crack law's
+            # mean is the sum of the placement-total marginals.
+            law_mean = float(np.arange(len(law)) @ law)
+            assert abs(float(law.sum()) - 1.0) < 1e-9, f"n={n}: crack law sums to {law.sum()}"
+            assert abs(law_mean - expected) < 1e-9, (
+                f"n={n}: crack-law mean {law_mean} != exact E[X] {expected}"
+            )
         if n <= RYSER_TIMING_CAP:
             ryser_count, ryser_s = time_call(_ryser, space.adjacency_matrix())
             # Ryser's 2^n signed float accumulation loses ~1e-9 relative

@@ -1113,15 +1113,30 @@ def build_crack_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Where the modules that run the exact counting engines (Ryser, interval
+#: DP) look them up.  Callers bind the engines at import time, so a guard
+#: replaces these names, not the defining modules' attributes.
+#: ``repro-crack --smoke`` and its test both patch every entry.
+EXACT_ENGINE_LOOKUPS: tuple[tuple[str, str], ...] = (
+    ("repro.graph.permanent", "permanent"),
+    ("repro.graph.permanent", "permanent_batch"),
+    ("repro.graph.permanent", "_ryser_float"),
+    ("repro.graph.exact", "permanent_batch"),
+    ("repro.graph.exact", "assignment_count"),
+    ("repro.graph.exact", "class_placement_totals"),
+    ("repro.graph.exact", "crack_law"),
+)
+
+
 def _crack_smoke() -> int:
     """The ``--smoke`` gate: edge classification alone must crack the staircase.
 
     Figure 6(a)'s staircase graph has exactly one consistent mapping, so
     the solver's one filter (matching plus residual-graph components)
     must stream every forced identification from the initial
-    classification — with the exact counting engines (Ryser, interval
-    DP) patched to fail on touch, proving the workbench never leans on
-    them.
+    classification — with the exact counting engines patched to fail on
+    touch at every :data:`EXACT_ENGINE_LOOKUPS` site, proving the
+    workbench never leans on them.
     """
     # import_module, not ``import repro.graph.permanent``: the package
     # re-exports the ``permanent`` *function* under the same attribute.
@@ -1129,18 +1144,16 @@ def _crack_smoke() -> int:
 
     from repro.attack.solver import ConsistencySolver, Observation
 
-    permanent_mod = import_module("repro.graph.permanent")
-    intervaldp_mod = import_module("repro.graph.intervaldp")
-
     n = 6
     adjacency = [list(range(i + 1)) for i in range(n)]
 
     def _forbidden_engine(*args: object, **kwargs: object) -> object:
-        raise AssertionError("smoke: the exact counting engines must not run")
+        raise AssertionError("the exact counting engines must not run")
 
-    saved = (permanent_mod.permanent, intervaldp_mod.assignment_count)
-    permanent_mod.permanent = _forbidden_engine  # type: ignore[assignment]
-    intervaldp_mod.assignment_count = _forbidden_engine  # type: ignore[assignment]
+    sites = [(import_module(module), name) for module, name in EXACT_ENGINE_LOOKUPS]
+    saved = [getattr(module, name) for module, name in sites]
+    for module, name in sites:
+        setattr(module, name, _forbidden_engine)
     try:
         solver = ConsistencySolver(adjacency, true_partner_of=list(range(n)))
         events = solver.bootstrap()
@@ -1164,8 +1177,12 @@ def _crack_smoke() -> int:
         if [e.kind for e in contradiction] != ["infeasible"]:
             print("smoke FAILED: contradiction not detected", file=sys.stderr)
             return 1
+    except AssertionError as exc:
+        print(f"smoke FAILED: {exc}", file=sys.stderr)
+        return 1
     finally:
-        permanent_mod.permanent, intervaldp_mod.assignment_count = saved
+        for (module, name), engine in zip(sites, saved):
+            setattr(module, name, engine)
     print(
         f"repro-crack smoke ok: staircase n={n} streamed {n} certified "
         "identifications, exact engines untouched"

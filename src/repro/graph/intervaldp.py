@@ -11,21 +11,32 @@ Two consequences, exploited here:
   (respecting group capacities) times uniform within-group bijections —
   every capacity-respecting assignment is realized by exactly
   ``prod_g c_g!`` matchings;
-* the admissible runs are intervals, so assignments can be counted by a
-  left-to-right sweep over the groups whose state is only the *pending*
-  items classified by deadline (the group index at which their run ends).
+* the admissible runs are intervals, so assignments can be enumerated by
+  a left-to-right sweep over the groups whose state is only the *pending*
+  items, classified by a label that carries their deadline (the group
+  index at which their run ends).
 
 That turns the #P-complete permanent into a polynomial DP whenever the
 run widths stay modest — which interval belief functions guarantee in
-practice (``delta_med`` beliefs span 2–3 groups).  All counting is done
-in exact Python integers, so results are bit-identical to Ryser wherever
-both apply.
+practice (``delta_med`` beliefs span 2–3 groups).
 
-The DP state space is bounded by an explicit budget
-(:class:`DPBudget`); pathological instances (very wide runs over large
-dense segments) raise :class:`~repro.errors.GraphError` instead of
-silently consuming the machine, letting callers fall back to the
-O-estimate or MCMC rungs of the strategy ladder.
+One group step, :func:`_fill_group`, enumerates the ways group ``g``
+fills from one pending profile.  Three sweeps drive it; they differ only
+in the label they keep per pending class and in what they accumulate:
+
+* :func:`assignment_count` labels by deadline and sums integer ways;
+* :func:`class_placement_totals` labels by run and records its trellis
+  for a backward pass, which yields every item-to-group marginal;
+* :func:`crack_law` labels by ``(deadline, true group)`` and carries a
+  float polynomial in the crack count.
+
+Counting uses exact Python integers, so results are bit-identical to
+Ryser wherever both apply.  The step's work counter (:class:`_Work`) is
+where DP transitions are counted and bounded by a :class:`DPBudget`;
+pathological instances (very wide runs over large dense segments) raise
+:class:`~repro.errors.GraphError` instead of silently consuming the
+machine, letting callers fall back to the O-estimate or MCMC rungs of
+the strategy ladder.
 """
 
 from __future__ import annotations
@@ -34,18 +45,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
+from itertools import accumulate
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.budget import ComputeBudget
-from repro.errors import GraphError
+from repro.errors import GraphError, InfeasibleMatchingError
 from repro.memo import MISSING, BoundedLRU
 
 __all__ = [
     "DPBudget",
     "assignment_count",
-    "class_pin_counts",
     "class_placement_totals",
     "clear_dp_memo",
     "crack_law",
@@ -56,6 +68,10 @@ Run = tuple[int, int]
 
 _ClassKey = tuple[tuple[Run, int], ...]
 _ProblemKey = tuple[tuple[int, ...], _ClassKey, int, int]
+
+#: A pending class: its label, which each sweep maps to the class's
+#: deadline, and its item count.  A profile is a tuple of them.
+_Pending = tuple[Any, int]
 
 #: Full-result memos: sweeping tolerances or re-running the strategy
 #: ladder hands the DP byte-identical instances over and over.  The
@@ -102,7 +118,7 @@ class DPBudget:
     Either being exceeded raises :class:`~repro.errors.GraphError`.
 
     ``compute`` optionally attaches a wall-clock
-    :class:`~repro.budget.ComputeBudget`, polled every ~2048 transitions,
+    :class:`~repro.budget.ComputeBudget`, polled every 2048 transitions,
     so deadline-bearing callers can cancel a DP sweep cooperatively
     (raising :class:`~repro.errors.BudgetExceeded` rather than
     :class:`~repro.errors.GraphError`).
@@ -112,15 +128,46 @@ class DPBudget:
     max_ops: int = 5_000_000
     compute: ComputeBudget | None = None
 
-    def tick(self, ops: int) -> None:
-        """Poll the attached compute budget (cheap; call per transition)."""
-        if self.compute is not None and not (ops & 2047):
-            self.compute.checkpoint(2048)
-
 
 #: Default budget: generous enough for every realistic interval-belief
 #: workload, small enough to fail fast on adversarial widths.
 DEFAULT_BUDGET = DPBudget()
+
+
+class _Work:
+    """The transition and state counter of one sweep, bounded by its budget.
+
+    *purpose* names what the sweep computes and where its caller falls
+    back, for the budget errors.
+    """
+
+    __slots__ = ("compute", "max_ops", "max_states", "ops", "purpose")
+
+    def __init__(self, budget: DPBudget, purpose: str) -> None:
+        self.compute = budget.compute
+        self.max_ops = budget.max_ops
+        self.max_states = budget.max_states
+        self.ops = 0
+        self.purpose = purpose
+
+    def transition(self) -> None:
+        """Count one transition; poll the compute budget every 2048."""
+        self.ops += 1
+        if self.compute is not None and not (self.ops & 2047):
+            self.compute.checkpoint(2048)
+        if self.ops > self.max_ops:
+            raise GraphError(
+                f"interval-DP op budget exceeded ({self.max_ops} transitions) "
+                f"— runs too wide for {self.purpose}"
+            )
+
+    def layer(self, n_states: int) -> None:
+        """Bound the number of pending profiles after one group."""
+        if n_states > self.max_states:
+            raise GraphError(
+                f"interval-DP state budget exceeded ({self.max_states} "
+                f"profiles) — runs too wide for {self.purpose}"
+            )
 
 
 def _check_problem(capacities: tuple[int, ...], classes: Mapping[Run, int]) -> int:
@@ -135,6 +182,36 @@ def _check_problem(capacities: tuple[int, ...], classes: Mapping[Run, int]) -> i
     return total
 
 
+def _frame(
+    capacities: tuple[int, ...], entries: Iterable[tuple[int, Any, int]]
+) -> tuple[list[list[_Pending]], list[int]]:
+    """Arrivals and capacity prefix sums of one sweep.
+
+    *entries* are ``(lo, label, count)`` classes.  ``arrivals[g]`` lists
+    the ``(label, count)`` whose run starts at group ``g`` and
+    ``prefix[g]`` is the total capacity of groups ``0 .. g-1``.
+    """
+    arrivals: list[list[_Pending]] = [[] for _ in capacities]
+    for lo, label, count in entries:
+        if count:
+            arrivals[lo].append((label, count))
+    return arrivals, [0, *accumulate(capacities)]
+
+
+def _merge(
+    state: tuple[_Pending, ...],
+    arriving: list[_Pending],
+    order: Callable[[_Pending], Any] = itemgetter(0),
+) -> tuple[_Pending, ...]:
+    """*state* plus the *arriving* counts, sorted by label (or *order*)."""
+    if not arriving:
+        return state
+    pending = dict(state)
+    for label, count in arriving:
+        pending[label] = pending.get(label, 0) + count
+    return tuple(sorted(pending.items(), key=order))
+
+
 def _compositions(
     available: list[int], amount: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -142,50 +219,107 @@ def _compositions(
 
     *available* lists per-class pending counts; *chosen* is the per-class
     draw and *ways* the product of binomials.  Classes are
-    interchangeable inside, hence the binomial weights.
+    interchangeable inside, hence the binomial weights.  Draws come in
+    lexicographic order of *chosen*: an odometer over every class but
+    the last, which takes what is left.
     """
     n_classes = len(available)
     suffix = [0] * (n_classes + 1)
     for index in range(n_classes - 1, -1, -1):
         suffix[index] = suffix[index + 1] + available[index]
+    if amount > suffix[0]:
+        return
+    if not n_classes:
+        yield 1, ()
+        return
+    last = n_classes - 1
     chosen = [0] * n_classes
-
-    def rec(index: int, remaining: int, ways: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        if remaining > suffix[index]:
-            return
-        if index == n_classes:
-            yield ways, tuple(chosen)
-            return
-        upper = min(available[index], remaining)
-        lower = max(0, remaining - suffix[index + 1])
-        for take in range(lower, upper + 1):
+    ways = [1] * n_classes  # ways[i]: binomials of the draws before class i
+    left = [amount] * n_classes  # left[i]: items still to draw from classes i..
+    index = 0
+    while True:
+        # Every class from *index* on starts at its smallest draw.
+        while index < last:
+            take = max(0, left[index] - suffix[index + 1])
             chosen[index] = take
-            yield from rec(
-                index + 1, remaining - take, ways * math.comb(available[index], take)
-            )
-        chosen[index] = 0
+            ways[index + 1] = ways[index] * math.comb(available[index], take)
+            left[index + 1] = left[index] - take
+            index += 1
+        chosen[last] = left[last]
+        yield ways[last] * math.comb(available[last], left[last]), tuple(chosen)
+        index = last - 1
+        while index >= 0 and chosen[index] >= min(available[index], left[index]):
+            index -= 1
+        if index < 0:
+            return
+        chosen[index] += 1
+        ways[index + 1] = ways[index] * math.comb(available[index], chosen[index])
+        left[index + 1] = left[index] - chosen[index]
+        index += 1
 
-    yield from rec(0, amount, 1)
 
-
-def _prune_pending(
-    pending: tuple[tuple[int, int], ...],
-    capacity_prefix: list[int],
+def _fill_group(
+    state: tuple[_Pending, ...],
     g: int,
-) -> bool:
-    """Hall-style feasibility of a pending profile after filling group *g*.
+    capacity: int,
+    deadline: Callable[[Any], int],
+    capacity_prefix: list[int],
+    work: _Work,
+) -> Iterator[tuple[int, list[_Pending], tuple[_Pending, ...]]]:
+    """Every way to fill group *g* from the pending profile *state*.
 
-    For every deadline ``d``, the pending items that must land in groups
-    ``g+1 .. d-1`` may not exceed those groups' total capacity.  Pruning
-    infeasible profiles early keeps the state space tight.
+    Classes whose run ends at ``g + 1`` are forced into *g*; the rest of
+    its *capacity* is drawn from the other pending classes.  Yields
+    ``(ways, placed, remainder)``: *ways* counts the item choices,
+    *placed* the ``(label, count)`` put into *g* (forced classes first)
+    and *remainder* the profile left pending, in *state*'s order.  Each
+    draw is one transition of *work*; draws that fail the Hall check are
+    dropped.
     """
-    cumulative = 0
-    for deadline, count in pending:  # sorted by deadline
-        cumulative += count
-        room = capacity_prefix[deadline] - capacity_prefix[g + 1]
-        if cumulative > room:
-            return False
-    return True
+    forced: list[_Pending] = []
+    rest: list[_Pending] = []
+    due_by: list[tuple[int, int]] = []
+    filled = capacity_prefix[g + 1]
+    for label, count in state:
+        due = deadline(label)
+        if due == g + 1:
+            forced.append((label, count))
+        else:
+            due_by.append((due, len(rest)))
+            rest.append((label, count))
+    free = capacity - sum(count for _, count in forced)
+    if free < 0:
+        return
+    # Hall check, in deadline order: the items left pending that are due
+    # by each deadline must fit into the groups between this one and it.
+    # Testing after every class is the same as after every deadline, as
+    # the sum only grows up to the last class due by that deadline.
+    hall = [(index, capacity_prefix[due] - filled) for due, index in sorted(due_by)]
+    available = [count for _, count in rest]
+    for ways, chosen in _compositions(available, free):
+        work.transition()
+        cumulative = 0
+        for index, room in hall:
+            cumulative += available[index] - chosen[index]
+            if cumulative > room:
+                break
+        else:
+            placed = forced + [(label, take) for (label, _), take in zip(rest, chosen) if take]
+            remainder = tuple(
+                [(label, count - take) for (label, count), take in zip(rest, chosen) if count - take]
+            )
+            yield ways, placed, remainder
+
+
+# The sweeps' label-to-deadline maps: assignment_count labels pending
+# classes by deadline, class_placement_totals by run (lo, hi) and
+# crack_law by (deadline, true_group).
+def _itself(deadline: int) -> int:
+    return deadline
+
+
+_run_end = itemgetter(1)
+_crack_deadline = itemgetter(0)
 
 
 def assignment_count(
@@ -213,7 +347,6 @@ def assignment_count(
     by ``prod_g capacities[g]!`` for the matching count (the permanent).
     """
     capacities = tuple(int(c) for c in capacities)
-    k = len(capacities)
     total_items = _check_problem(capacities, classes)
     if total_items != sum(capacities):
         return 0
@@ -223,109 +356,26 @@ def assignment_count(
     if memoized is not MISSING:
         return memoized
 
-    arrivals: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for (lo, hi), count in classes.items():
-        if count:
-            arrivals[lo].append((hi, count))
-
-    capacity_prefix = [0] * (k + 1)
-    for g in range(k):
-        capacity_prefix[g + 1] = capacity_prefix[g] + capacities[g]
-
+    arrivals, capacity_prefix = _frame(
+        capacities, ((lo, hi, count) for (lo, hi), count in classes.items())
+    )
+    work = _Work(budget, "exact counting; fall back to the O-estimate or MCMC")
     # State: tuple of (deadline, pending-count), sorted by deadline.
     states: dict[tuple[tuple[int, int], ...], int] = {(): 1}
-    ops = 0
-    for g in range(k):
-        if arrivals[g]:
-            merged: dict[tuple[tuple[int, int], ...], int] = {}
-            for state, ways in states.items():
-                pending = dict(state)
-                for hi, count in arrivals[g]:
-                    pending[hi] = pending.get(hi, 0) + count
-                key = tuple(sorted(pending.items()))
-                merged[key] = merged.get(key, 0) + ways
-            states = merged
-
+    for g, capacity in enumerate(capacities):
         next_states: dict[tuple[tuple[int, int], ...], int] = {}
-        need = capacities[g]
         for state, ways in states.items():
-            pending = dict(state)
-            forced = pending.pop(g + 1, 0)
-            if forced > need:
-                continue
-            rest = sorted(pending.items())
-            available = [count for _, count in rest]
-            for choice_ways, chosen in _compositions(available, need - forced):
-                ops += 1
-                budget.tick(ops)
-                if ops > budget.max_ops:
-                    raise GraphError(
-                        "interval-DP op budget exceeded "
-                        f"({budget.max_ops} transitions) — runs too wide for "
-                        "exact counting; fall back to the O-estimate or MCMC"
-                    )
-                remainder = tuple(
-                    (deadline, count - take)
-                    for (deadline, count), take in zip(rest, chosen)
-                    if count - take
-                )
-                if not _prune_pending(remainder, capacity_prefix, g):
-                    continue
-                next_states[remainder] = (
-                    next_states.get(remainder, 0) + ways * choice_ways
-                )
+            for choice_ways, _, remainder in _fill_group(
+                _merge(state, arrivals[g]), g, capacity, _itself, capacity_prefix, work
+            ):
+                next_states[remainder] = next_states.get(remainder, 0) + ways * choice_ways
+        work.layer(len(next_states))
         states = next_states
-        if len(states) > budget.max_states:
-            raise GraphError(
-                f"interval-DP state budget exceeded ({budget.max_states} "
-                "profiles) — runs too wide for exact counting; fall back "
-                "to the O-estimate or MCMC"
-            )
         if not states:
-            result = 0
             break
-    else:
-        result = states.get((), 0)
+    result = states.get((), 0)
     _COUNT_MEMO.put(problem_key, result)
     return result
-
-
-def class_pin_counts(
-    capacities: tuple[int, ...],
-    classes: Mapping[Run, int],
-    pins: list[tuple[Run, int]],
-    budget: DPBudget = DEFAULT_BUDGET,
-) -> dict[tuple[Run, int], int]:
-    """Assignment counts with one item of a class pinned to a group.
-
-    For each ``(run, group)`` pair in *pins*, counts the assignments of
-    the remaining items when one item of *run* is already placed in
-    *group* (so the class loses one item and the group one capacity
-    slot).  The marginal probability that a specific item of *run* lands
-    in *group* is the pinned count over :func:`assignment_count`.
-    """
-    results: dict[tuple[Run, int], int] = {}
-    for run, group in pins:
-        key = (run, group)
-        if key in results:
-            continue
-        lo, hi = run
-        if not lo <= group < hi or classes.get(run, 0) <= 0:
-            results[key] = 0
-            continue
-        if capacities[group] <= 0:
-            results[key] = 0
-            continue
-        reduced_classes = dict(classes)
-        reduced_classes[run] -= 1
-        if not reduced_classes[run]:
-            del reduced_classes[run]
-        reduced_capacities = list(capacities)
-        reduced_capacities[group] -= 1
-        results[key] = assignment_count(
-            tuple(reduced_capacities), reduced_classes, budget=budget
-        )
-    return results
 
 
 def class_placement_totals(
@@ -340,8 +390,8 @@ def class_placement_totals(
     number of *run*-class items placed in group ``g``.  The probability
     that one specific item of the class lands in ``g`` is then
     ``S[(run, g)] / (total * classes[run])`` — so one sweep yields every
-    marginal, where pinning (:func:`class_pin_counts`) would re-run the
-    DP once per ``(run, group)`` pair.
+    marginal, where pinning one item per ``(run, group)`` pair would
+    re-run :func:`assignment_count` once per pair.
 
     Unlike :func:`assignment_count`, pending items are keyed by their
     *class*, not just their deadline — merging same-deadline classes
@@ -360,90 +410,30 @@ def class_placement_totals(
         # Fresh dict per caller: the memo must survive caller mutation.
         return memoized[0], dict(memoized[1])
 
-    arrivals: list[list[tuple[Run, int]]] = [[] for _ in range(k)]
-    for run, count in classes.items():
-        if count:
-            arrivals[run[0]].append((run, count))
-
-    capacity_prefix = [0] * (k + 1)
-    for g in range(k):
-        capacity_prefix[g + 1] = capacity_prefix[g] + capacities[g]
-
-    _State = tuple[tuple[Run, int], ...]
-
-    def merge_arrivals(state: "_State", g: int) -> "_State":
-        if g >= k or not arrivals[g]:
-            return state
-        pending = dict(state)
-        for run, count in arrivals[g]:
-            pending[run] = pending.get(run, 0) + count
-        return tuple(sorted(pending.items()))
-
+    arrivals, capacity_prefix = _frame(
+        capacities, ((run[0], run, count) for run, count in classes.items())
+    )
+    work = _Work(budget, "exact marginals; fall back to the O-estimate or MCMC")
     # Forward pass, materializing the trellis.  Layer g holds the states
-    # entering group g's placement step (arrivals already merged).
-    forward: list[dict[tuple, int]] = [dict() for _ in range(k + 1)]
-    forward[0] = {merge_arrivals((), 0): 1}
-    # transitions[g]: (pre_state, ways, placed per class, next pre_state)
-    transitions: list[list[tuple[tuple, int, tuple, tuple]]] = [[] for _ in range(k)]
-    ops = 0
-    for g in range(k):
-        need = capacities[g]
-        layer = forward[g]
-        nxt = forward[g + 1]
-        for state, ways in layer.items():
-            pending = dict(state)
-            placed_forced: list[tuple[Run, int]] = []
-            forced_total = 0
-            for run in [r for r in pending if r[1] == g + 1]:
-                count = pending.pop(run)
-                placed_forced.append((run, count))
-                forced_total += count
-            if forced_total > need:
-                continue
-            rest = sorted(pending.items())
-            available = [count for _, count in rest]
-            for choice_ways, chosen in _compositions(available, need - forced_total):
-                ops += 1
-                budget.tick(ops)
-                if ops > budget.max_ops:
-                    raise GraphError(
-                        "interval-DP op budget exceeded "
-                        f"({budget.max_ops} transitions) — runs too wide for "
-                        "exact marginals; fall back to the O-estimate or MCMC"
-                    )
-                remainder = tuple(
-                    (run, count - take)
-                    for (run, count), take in zip(rest, chosen)
-                    if count - take
-                )
-                by_deadline: dict[int, int] = {}
-                for (_, hi), count in remainder:
-                    by_deadline[hi] = by_deadline.get(hi, 0) + count
-                cumulative = 0
-                feasible = True
-                for deadline in sorted(by_deadline):
-                    cumulative += by_deadline[deadline]
-                    if cumulative > capacity_prefix[deadline] - capacity_prefix[g + 1]:
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                placed = tuple(
-                    placed_forced
-                    + [(run, take) for (run, _), take in zip(rest, chosen) if take]
-                )
-                next_state = merge_arrivals(remainder, g + 1)
-                transitions[g].append((state, choice_ways, placed, next_state))
-                nxt[next_state] = nxt.get(next_state, 0) + ways * choice_ways
-        if len(nxt) > budget.max_states:
-            raise GraphError(
-                f"interval-DP state budget exceeded ({budget.max_states} "
-                "profiles) — runs too wide for exact marginals; fall back "
-                "to the O-estimate or MCMC"
-            )
+    # left pending before group g, keyed without group g's arrivals.
+    forward: list[dict[tuple, int]] = [{(): 1}]
+    # transitions[g]: (state, ways, placed per class, next state)
+    transitions: list[list[tuple[tuple, int, list, tuple]]] = []
+    for g, capacity in enumerate(capacities):
+        nxt: dict[tuple, int] = {}
+        steps: list[tuple[tuple, int, list, tuple]] = []
+        for state, ways in forward[g].items():
+            for choice_ways, placed, remainder in _fill_group(
+                _merge(state, arrivals[g]), g, capacity, _run_end, capacity_prefix, work
+            ):
+                steps.append((state, choice_ways, placed, remainder))
+                nxt[remainder] = nxt.get(remainder, 0) + ways * choice_ways
+        work.layer(len(nxt))
         if not nxt:
             _TOTALS_MEMO.put(problem_key, (0, ()))
             return 0, {}
+        forward.append(nxt)
+        transitions.append(steps)
 
     total = forward[k].get((), 0)
     if total == 0:
@@ -500,6 +490,12 @@ def _match_count_law(capacity: int, n_special: int) -> tuple[float, ...]:  # rep
     return tuple(law)
 
 
+def _crack_order(entry: tuple[tuple[int, int | None], int]) -> tuple[int, bool, int]:
+    """Sort key of crack-law labels: by deadline, then true group, ``None`` last."""
+    (due, true_group), _ = entry
+    return (due, true_group is None, true_group or 0)
+
+
 def crack_law(  # repro-lint: disable-function=EX001,EX002,EX004 -- probability layer: per-layer renormalized float polynomials (only ratios matter; see docstring)
     capacities: tuple[int, ...],
     refined_classes: Mapping[tuple[int, int, int | None], int],
@@ -512,12 +508,17 @@ def crack_law(  # repro-lint: disable-function=EX001,EX002,EX004 -- probability 
     partner — or ``None`` when that group is outside the item's run (a
     non-compliant item, never cracked).
 
-    The sweep mirrors :func:`assignment_count` but each state carries a
-    probability-weighted polynomial in the crack count: filling group
-    ``g`` with ``m`` items whose true group is ``g`` convolves in the
-    generalized rencontres law of the uniform within-group bijection.
-    Normalization happens per layer (only ratios matter), so the floats
-    never overflow even though the underlying counts are astronomical.
+    The sweep labels pending classes ``(deadline, true_group)``; each
+    state carries a probability-weighted polynomial in the crack count.
+    Filling group ``g`` with ``m`` items whose true group is ``g``
+    convolves in the generalized rencontres law of the uniform
+    within-group bijection, and the true groups of the items left
+    pending retire to ``None`` once ``g`` is past.  Normalization happens
+    per layer (only ratios matter), so the floats never overflow even
+    though the underlying counts are astronomical.
+
+    Raises :class:`~repro.errors.InfeasibleMatchingError` when no
+    capacity-respecting assignment exists.
     """
     capacities = tuple(int(c) for c in capacities)
     k = len(capacities)
@@ -531,81 +532,38 @@ def crack_law(  # repro-lint: disable-function=EX001,EX002,EX004 -- probability 
     if n_items != sum(capacities):
         raise GraphError("unbalanced block: item and capacity totals differ")
 
-    arrivals: list[list[tuple[tuple[int, int | None], int]]] = [[] for _ in range(k)]
-    for (lo, hi, true_group), count in refined_classes.items():
-        if count:
-            arrivals[lo].append(((hi, true_group), count))
-
-    capacity_prefix = [0] * (k + 1)
-    for g in range(k):
-        capacity_prefix[g + 1] = capacity_prefix[g] + capacities[g]
-
+    arrivals, capacity_prefix = _frame(
+        capacities,
+        ((lo, (hi, true_group), count) for (lo, hi, true_group), count in refined_classes.items()),
+    )
+    work = _Work(budget, "the crack law; fall back to simulation")
     # State key: tuple of ((deadline, true_group), count); value: a
     # polynomial over crack counts (index = cracks), scaled arbitrarily.
     states: dict[tuple, np.ndarray] = {(): np.array([1.0])}
-    ops = 0
-    for g in range(k):
-        if arrivals[g]:
-            merged: dict[tuple, np.ndarray] = {}
-            for state, poly in states.items():
-                pending = dict(state)
-                for cls, count in arrivals[g]:
-                    pending[cls] = pending.get(cls, 0) + count
-                key = _canonical(pending)
-                _accumulate(merged, key, poly)
-            states = merged
-
+    for g, capacity in enumerate(capacities):
         next_states: dict[tuple, np.ndarray] = {}
-        need = capacities[g]
         for state, poly in states.items():
-            pending = dict(state)
-            forced_hits = 0
-            forced_total = 0
-            for cls in [c for c in pending if c[0] == g + 1]:
-                count = pending.pop(cls)
-                forced_total += count
-                if cls[1] == g:
-                    forced_hits += count
-            if forced_total > need:
-                continue
-            rest = sorted(pending.items(), key=lambda kv: (kv[0][0], kv[0][1] is None, kv[0][1] or 0))
-            available = [count for _, count in rest]
-            for choice_ways, chosen in _compositions(available, need - forced_total):
-                ops += 1
-                budget.tick(ops)
-                if ops > budget.max_ops:
-                    raise GraphError(
-                        "interval-DP op budget exceeded while building the "
-                        "crack law — fall back to simulation"
-                    )
-                hits = forced_hits + sum(
-                    take for (cls, _), take in zip(rest, chosen) if cls[1] == g
-                )
-                remainder = {
-                    cls: count - take
-                    for (cls, count), take in zip(rest, chosen)
-                    if count - take
-                }
-                if not _prune_deadlines(remainder, capacity_prefix, g):
-                    continue
+            for choice_ways, placed, remainder in _fill_group(
+                _merge(state, arrivals[g], _crack_order),
+                g,
+                capacity,
+                _crack_deadline,
+                capacity_prefix,
+                work,
+            ):
+                hits = sum(count for (_, true), count in placed if true == g)
                 # Retire true groups that are now in the past.
-                retired: dict[tuple[int, int | None], int] = {}
-                for (deadline, true_group), count in remainder.items():
-                    cls = (deadline, true_group if (true_group is not None and true_group > g) else None)
-                    retired[cls] = retired.get(cls, 0) + count
-                key = _canonical(retired)
-                contribution = float(choice_ways) * _convolve_hits(
-                    poly, capacities[g], hits
-                )
+                pending = [
+                    ((due, true if true is not None and true > g else None), count)
+                    for (due, true), count in remainder
+                ]
+                key = _merge((), pending, _crack_order)
+                contribution = float(choice_ways) * _convolve_hits(poly, capacity, hits)
                 _accumulate(next_states, key, contribution)
+        work.layer(len(next_states))
+        if not next_states:
+            raise InfeasibleMatchingError("no consistent assignment exists for the block")
         states = next_states
-        if len(states) > budget.max_states:
-            raise GraphError(
-                "interval-DP state budget exceeded while building the "
-                "crack law — fall back to simulation"
-            )
-        if not states:
-            raise GraphError("no consistent assignment exists for the block")
         # Per-layer renormalization: keeps magnitudes in float range.
         scale = max(float(poly.max()) for poly in states.values())
         if scale > 0 and (scale > 1e100 or scale < 1e-100):
@@ -613,39 +571,13 @@ def crack_law(  # repro-lint: disable-function=EX001,EX002,EX004 -- probability 
                 states[key] = states[key] / scale
 
     final = states.get(())
-    if final is None:
-        raise GraphError("no consistent assignment exists for the block")
     law = np.zeros(n_items + 1, dtype=np.float64)
-    law[: len(final)] = final
+    if final is not None:
+        law[: len(final)] = final
     total = law.sum()
     if total <= 0:
-        raise GraphError("no consistent assignment exists for the block")
+        raise InfeasibleMatchingError("no consistent assignment exists for the block")
     return law / total
-
-
-def _canonical(pending: Mapping[tuple[int, int | None], int]) -> tuple:
-    return tuple(
-        sorted(
-            ((cls, count) for cls, count in pending.items() if count),
-            key=lambda kv: (kv[0][0], kv[0][1] is None, kv[0][1] or 0),
-        )
-    )
-
-
-def _prune_deadlines(
-    pending: Mapping[tuple[int, int | None], int],
-    capacity_prefix: list[int],
-    g: int,
-) -> bool:
-    by_deadline: dict[int, int] = {}
-    for (deadline, _), count in pending.items():
-        by_deadline[deadline] = by_deadline.get(deadline, 0) + count
-    cumulative = 0
-    for deadline in sorted(by_deadline):
-        cumulative += by_deadline[deadline]
-        if cumulative > capacity_prefix[deadline] - capacity_prefix[g + 1]:
-            return False
-    return True
 
 
 def _convolve_hits(poly: np.ndarray, capacity: int, n_special: int) -> np.ndarray:

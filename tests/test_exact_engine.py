@@ -35,8 +35,8 @@ from repro.graph import (
 from repro.graph.intervaldp import (
     DPBudget,
     assignment_count,
-    class_pin_counts,
     class_placement_totals,
+    crack_law,
 )
 from repro.graph.kernels import ryser_int_python as _ryser
 from repro.simulation import best_expected_cracks
@@ -94,6 +94,28 @@ def enumeration_marginals(space) -> np.ndarray:
     if total == 0:
         raise InfeasibleMatchingError("no matching")
     return hits / total
+
+
+def class_pin_counts(capacities, classes, pins):
+    """Assignment counts with one item of a class pinned to a group.
+
+    For each ``(run, group)`` pair in *pins*, counts the assignments of
+    the remaining items when one item of *run* is already placed in
+    *group* (the class loses one item, the group one capacity slot): the
+    one-DP-per-pair oracle that ``class_placement_totals`` replaces.
+    """
+    results = {}
+    for run, group in pins:
+        lo, hi = run
+        if not lo <= group < hi or classes.get(run, 0) <= 0 or capacities[group] <= 0:
+            results[(run, group)] = 0
+            continue
+        reduced_classes = dict(classes)
+        reduced_classes[run] -= 1
+        reduced_capacities = list(capacities)
+        reduced_capacities[group] -= 1
+        results[(run, group)] = assignment_count(tuple(reduced_capacities), reduced_classes)
+    return results
 
 
 class TestCountAgreement:
@@ -198,6 +220,21 @@ class TestMarginalAgreement:
                     assert totals.get((run, g), 0) == classes[run] * pinned[(run, g)]
 
 
+class TestInfeasibleFrequencySpace:
+    @pytest.mark.parametrize("n_wide", [1, 12])
+    def test_every_exact_route_raises_infeasible(self, n_wide):
+        # Two items believe only the one 0.1 item: no consistent mapping,
+        # though every item has candidates.  The 14-item block is beyond
+        # the enumeration fallback, so its law comes from the DP alone.
+        frequencies = {0: 0.1, **{i: 0.2 for i in range(1, n_wide + 2)}}
+        intervals = {i: (0.1, 0.1) if i < 2 else (0.1, 0.2) for i in frequencies}
+        space = space_from_frequencies(interval_belief(intervals), frequencies)
+        with pytest.raises(InfeasibleMatchingError):
+            crack_distribution_exact(space)
+        with pytest.raises(InfeasibleMatchingError):
+            crack_marginals_exact(space)
+
+
 class TestDispatcher:
     def test_frequency_plan(self, bigmart_space_h):
         plan = exact_strategy(bigmart_space_h)
@@ -278,6 +315,29 @@ class TestBudgets:
             assignment_count(capacities, classes, budget=tiny)
         with pytest.raises(GraphError, match="budget"):
             class_placement_totals(capacities, classes, budget=tiny)
+
+    @pytest.mark.parametrize(
+        "sweep", ["assignment_count", "class_placement_totals", "crack_law"]
+    )
+    def test_every_sweep_bounds_its_work(self, sweep):
+        capacities = tuple([2] * 12)
+        classes = {(i, i + 6): 2 for i in range(7)}
+        classes[(0, 12)] = 24 - sum(classes.values())
+        # Each item's true partner sits in the first group of its run.
+        refined = {(lo, hi, lo): count for (lo, hi), count in classes.items()}
+
+        def run(budget):
+            if sweep == "crack_law":
+                return crack_law(capacities, refined, budget=budget)
+            if sweep == "assignment_count":
+                return assignment_count(capacities, classes, budget=budget)
+            return class_placement_totals(capacities, classes, budget=budget)
+
+        run(DPBudget())  # generous, and memoized by the sweeps that memoize
+        with pytest.raises(GraphError, match="op budget"):
+            run(DPBudget(max_ops=10))
+        with pytest.raises(GraphError, match="state budget"):
+            run(DPBudget(max_states=1))
 
     def test_auto_marginals_fall_back_to_mcmc_when_plan_expensive(self):
         # One dense 20-item explicit block: a feasible Ryser plan, but

@@ -141,20 +141,51 @@ class TestStreamingOrderInvariance:
         assert ("forced", 2, 2) in kinds
 
 
+def _staircase_space():
+    from repro.graph import ExplicitMappingSpace
+
+    n = len(STAIRCASE)
+    return ExplicitMappingSpace(
+        items=tuple(range(n)),
+        anonymized=tuple(f"{j}'" for j in range(n)),
+        adjacency=STAIRCASE,
+        true_partner_of=list(range(n)),
+    )
+
+
+def _interval_space():
+    from repro.beliefs import interval_belief
+    from repro.graph import space_from_frequencies
+
+    frequencies = {0: 0.1, 1: 0.1, 2: 0.2, 3: 0.2, 4: 0.3}
+    intervals = {i: (max(0.1, f - 0.1), min(0.3, f + 0.1)) for i, f in frequencies.items()}
+    return space_from_frequencies(interval_belief(intervals), frequencies)
+
+
+def _run_engine(engine: str, space_of) -> None:
+    import numpy as np
+
+    from repro.graph import exact, permanent
+
+    if engine == "permanent":
+        permanent(np.full((3, 3), 0.5))
+    else:
+        getattr(exact, engine)(space_of())
+
+
 class TestStaircaseNoExactEngine:
     def test_all_identifications_without_ryser_or_dp(self, monkeypatch):
         # import_module: the package re-exports the ``permanent``
         # function under the same attribute as the submodule.
         from importlib import import_module
 
-        permanent_mod = import_module("repro.graph.permanent")
-        intervaldp_mod = import_module("repro.graph.intervaldp")
+        from repro.cli import EXACT_ENGINE_LOOKUPS
 
         def boom(*args, **kwargs):
             raise AssertionError("the exact counting engines must not run")
 
-        monkeypatch.setattr(permanent_mod, "permanent", boom)
-        monkeypatch.setattr(intervaldp_mod, "assignment_count", boom)
+        for module, name in EXACT_ENGINE_LOOKUPS:
+            monkeypatch.setattr(import_module(module), name, boom)
         solver = ConsistencySolver(STAIRCASE, true_partner_of=[0, 1, 2, 3])
         events = solver.bootstrap()
         forced = [(e.item, e.anon) for e in events if e.kind == "forced"]
@@ -162,6 +193,34 @@ class TestStaircaseNoExactEngine:
         assert all(e.crack for e in events if e.kind == "forced")
         assert solver.summary()["undecided"] == 0
         assert solver.certified_cracks() == 4
+
+    @pytest.mark.parametrize(
+        "engine, space_of",
+        [
+            ("count_matchings_exact", _staircase_space),
+            ("crack_marginals_exact", _staircase_space),
+            ("count_matchings_exact", _interval_space),
+            ("crack_marginals_exact", _interval_space),
+            ("crack_distribution_exact", _interval_space),
+            ("permanent", None),
+        ],
+    )
+    def test_smoke_fails_when_the_solver_runs_an_engine(
+        self, monkeypatch, capsys, engine, space_of
+    ):
+        # A solver whose bootstrap leans on an exact engine must fail
+        # the smoke, whichever name the engine is called through.
+        import repro.attack.solver as solver_package
+        from repro.cli import crack_main
+
+        class EngineSolver(ConsistencySolver):
+            def bootstrap(self, *args, **kwargs):
+                _run_engine(engine, space_of)
+                return super().bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(solver_package, "ConsistencySolver", EngineSolver)
+        assert crack_main(["--smoke"]) == 1
+        assert "must not run" in capsys.readouterr().err
 
     def test_infeasible_event_emitted_once(self):
         solver = ConsistencySolver(STAIRCASE)
