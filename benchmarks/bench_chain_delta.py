@@ -21,7 +21,7 @@ from repro.core import (
     chain_percentage_error,
     space_from_chain,
 )
-from repro.graph import expected_cracks_direct
+from repro.graph import expected_cracks_exact
 
 TABLE_ROWS = [
     ((10, 10, 10), (20, 20), 1.54),
@@ -68,7 +68,7 @@ def test_figure4a_example(report, benchmark):
         return (
             chain_expected_cracks(spec),
             chain_o_estimate(spec),
-            expected_cracks_direct(space_from_chain(spec)),
+            expected_cracks_exact(space_from_chain(spec)),
         )
 
     exact, estimate, direct = benchmark(compute)

@@ -21,23 +21,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import repro.graph.exact as graph_exact
 from repro.beliefs import interval_belief
+from repro.core import ChainSpec, space_from_chain
 from repro.core.oestimate import o_estimate
 from repro.graph import (
     count_matchings_exact,
     crack_distribution_exact,
+    crack_marginals,
     crack_marginals_exact,
     exact_strategy,
     space_from_frequencies,
 )
+from repro.graph.intervaldp import _match_count_law
 from repro.graph.kernels import ryser_int_python as _ryser
 from repro.graph.refine import classify_adjacency, classify_edges, reduced_blocks
+from repro.simulation import best_expected_cracks
 from repro.simulation.gibbs import GibbsAssignmentSampler
 
 FULL_SIZES = (12, 18, 50, 200, 1000)
@@ -478,6 +484,38 @@ class LegacyGibbs(GibbsAssignmentSampler):
             self._assign[i] = target
 
 
+def check_estimate_ladder(space, rung: str) -> None:
+    """The ladder's sum, and the ``auto`` marginals, equal exact ``E[X]``."""
+    expected = float(crack_marginals_exact(space).sum())  # expected_cracks_exact
+    value, stderr, strategy = best_expected_cracks(space)
+    assert (strategy, stderr) == (rung, 0.0), (strategy, stderr, rung)
+    assert abs(value - expected) <= 1e-12, f"ladder E[X] {value} != exact {expected}"
+    auto = float(crack_marginals(space).sum())
+    assert abs(auto - expected) <= 1e-12, f"auto marginals sum {auto} != exact {expected}"
+
+
+def check_chain_ladder(seed: int = 3) -> None:
+    """On a seeded chain: the engine's rung, then the closed form past the gate."""
+    rng = np.random.default_rng(seed)
+    k = 4
+    exclusive = [int(x) for x in rng.integers(0, 4, size=k)]
+    lower = [int(x) for x in rng.integers(1, 4, size=k - 1)]
+    upper = [int(x) for x in rng.integers(1, 4, size=k - 1)]
+    sizes = [
+        exclusive[g] + (upper[g - 1] if g else 0) + (lower[g] if g < k - 1 else 0)
+        for g in range(k)
+    ]
+    shared = [c + d for c, d in zip(lower, upper)]
+    space = space_from_chain(ChainSpec(tuple(sizes), tuple(exclusive), tuple(shared)))
+    check_estimate_ladder(space, exact_strategy(space).strategy)
+    saved = graph_exact.EXACT_COST_BUDGET
+    graph_exact.EXACT_COST_BUDGET = -1  # the gate turns every plan away
+    try:
+        check_estimate_ladder(space, "chain")
+    finally:
+        graph_exact.EXACT_COST_BUDGET = saved
+
+
 def bench_exact_engine(sizes, check: bool) -> list[dict]:
     rows = []
     for n in sizes:
@@ -530,6 +568,7 @@ def bench_exact_engine(sizes, check: bool) -> list[dict]:
                 assert abs(expected - ryser_expected) < 1e-9, (
                     f"n={n}: DP E[X] {expected} != Ryser {ryser_expected}"
                 )
+                check_estimate_ladder(space, plan.strategy)
         rows.append(row)
         print(
             f"  n={n:5d}  {plan.strategy:18s} blocks={plan.n_blocks:3d} "
@@ -701,6 +740,10 @@ def main(argv=None) -> int:
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     print(f"interval-DP engine ({'smoke' if args.smoke else 'full'}):")
     engine_rows = bench_exact_engine(sizes, check=True)
+    check_chain_ladder()
+    law = _match_count_law(1000, 1000)
+    assert abs(math.fsum(law) - 1.0) <= 1e-12, f"1000-item rencontres law sums to {math.fsum(law)}"
+    print("  estimate ladder agrees with exact E[X]; 1000-item rencontres law sums to 1")
     print("block-Ryser engine:")
     block_rows = bench_block_ryser(
         (10, 12) if args.smoke else (12, 50, 200), check=True

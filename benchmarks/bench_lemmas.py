@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.data import FrequencyGroups
 from repro.datasets import load_benchmark
-from repro.graph import expected_cracks_direct, space_from_frequencies
+from repro.graph import expected_cracks_exact, space_from_frequencies
 
 DATASETS = ["connect", "pumsb", "accidents", "retail", "mushroom", "chess"]
 
@@ -64,8 +64,8 @@ def test_lemmas_validated_by_direct_method(benchmark):
         ignorant_space = space_from_frequencies(ignorant_belief(frequencies), frequencies)
         point_space = space_from_frequencies(point_belief(frequencies), frequencies)
         return (
-            expected_cracks_direct(ignorant_space),
-            expected_cracks_direct(point_space),
+            expected_cracks_exact(ignorant_space),
+            expected_cracks_exact(point_space),
         )
 
     ignorant_value, point_value = benchmark(compute)

@@ -30,7 +30,7 @@ from repro.extensions import (
     itemset_identifications,
     surely_cracked_items,
 )
-from repro.graph import expected_cracks_direct
+from repro.graph import expected_cracks_exact
 
 
 def relational_example() -> None:
@@ -61,7 +61,7 @@ def relational_example() -> None:
         print(f"  {item:>6}: consistent with {space.outdegree(index)} released rows")
 
     estimate = o_estimate(space)
-    exact = expected_cracks_direct(space)
+    exact = expected_cracks_exact(space)
     print(f"  O-estimate = {estimate.value:.2f}, exact = {exact:.2f} of {space.n}")
     certain = surely_cracked_items(space)
     if certain:

@@ -55,7 +55,6 @@ from repro.errors import ReproError
 from repro.graph import (
     ExplicitMappingSpace,
     FrequencyMappingSpace,
-    expected_cracks_direct,
     space_from_anonymized,
     space_from_frequencies,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "ExplicitMappingSpace",
     "space_from_frequencies",
     "space_from_anonymized",
-    "expected_cracks_direct",
     # core
     "expected_cracks_ignorant",
     "expected_cracks_point_valued",

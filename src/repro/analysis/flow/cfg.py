@@ -42,9 +42,6 @@ class ControlFlowGraph:
     def _edge(self, src: int, dst: int) -> None:
         self.blocks[src].successors.add(dst)
 
-    def predecessors(self, index: int) -> list[int]:
-        return [b.index for b in self.blocks if index in b.successors]
-
 
 class _Builder:
     def __init__(self) -> None:

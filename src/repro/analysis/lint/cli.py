@@ -35,16 +35,6 @@ __all__ = ["main", "build_parser", "result_to_json", "changed_files"]
 
 DEFAULT_PATHS = ("src", "benchmarks", "tests")
 
-#: Human summaries for report ids emitted outside the registry (the
-#: layering project rule reports LY002-LY004 under its siblings' ids).
-_EXTRA_SUMMARIES = {
-    "LY002": "lazy import against the layer order",
-    "LY003": "module-level import cycle",
-    "LY004": "package with no layer assignment",
-    "PARSE": "file failed to parse",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
@@ -82,13 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "families CC/FS005/DT004 need the full tree)",
     )
     return parser
-
-
-def rule_summary(rule_id: str) -> str:
-    rule = REGISTRY.get(rule_id)
-    if rule is not None:
-        return rule.summary
-    return _EXTRA_SUMMARIES.get(rule_id, "")
 
 
 def result_to_json(result: LintResult) -> dict:

@@ -25,11 +25,6 @@ class AnonymizedDatabase:
     database: TransactionDatabase
     mapping: AnonymizationMapping
 
-    @property
-    def released_view(self) -> TransactionDatabase:
-        """The hacker-visible anonymized transaction database."""
-        return self.database
-
     def observed_frequencies(self) -> dict:
         """Frequencies of the anonymized items, ``F(x')`` in the paper."""
         return self.database.frequencies()

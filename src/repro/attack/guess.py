@@ -7,8 +7,9 @@ The paper's hacker picks a consistent mapping uniformly at random; a
    mapping with certainty;
 2. **group-assignment marginals** — for the remaining freedom, estimate
    ``P(item y belongs to frequency group g)`` under the uniform-mapping
-   posterior (closed form for chains, Gibbs sampling otherwise) and
-   commit the most confident placements first, respecting capacities;
+   posterior by Gibbs sampling (on every frequency space, chains
+   included) and commit the most confident placements first, respecting
+   capacities;
 3. within a group nothing distinguishes the anonymized items, so any
    bijection is as good as any other.
 
@@ -62,13 +63,10 @@ def _assignment_marginals(
 ) -> dict[int, dict[int, float]]:
     """``P(item i is assigned group g)`` estimated by the Gibbs chain."""
     sampler = GibbsAssignmentSampler(space, rng=rng, seed_with_truth=False)
-    sampler.sweep(30)
     tallies: dict[int, defaultdict] = {
         i: defaultdict(float) for i in range(space.n)
     }
-    for _ in range(n_samples):
-        sampler.sweep(2)
-        assignment = sampler.assignment
+    for assignment in sampler.draws(n_samples):
         for i in range(space.n):
             tallies[i][int(assignment[i])] += 1.0
     return {
@@ -322,11 +320,8 @@ def candidate_ranking(
         from repro.simulation.sampler import MatchingSampler
 
         sampler = MatchingSampler(space, rng=rng, seed_with_truth=False)
-        sampler.sweep(50)
         hits = defaultdict(float)
-        for _ in range(n_samples):
-            sampler.sweep(3)
-            matching = sampler.matching
+        for matching in sampler.draws(n_samples):
             for i in range(space.n):
                 if matching[i] == anon_index:
                     hits[i] += 1.0

@@ -142,42 +142,20 @@ def chain_percentage_error(spec: ChainSpec) -> float:
     return abs(chain_delta(spec)) / exact * 100.0
 
 
-def _upward_flows(spec: ChainSpec) -> tuple[int, ...]:
-    """``t_i`` — shared-group-``i`` items every matching sends to group ``i+1``.
-
-    Chains have no routing freedom in *counts*: filling group ``i``'s
-    capacity forces ``t_i = s_i + e_i + t_{i-1} - n_i``.  Only *which*
-    shared items go up, and the within-group bijections, vary across
-    matchings — the fact behind :func:`chain_matching_count` and the
-    exact sampler in :mod:`repro.simulation.exact`.
-    """
-    flows: list[int] = []
-    t_prev = 0
-    for i in range(spec.k - 1):
-        t_i = spec.shared_sizes[i] + spec.exclusive_sizes[i] + t_prev - spec.group_sizes[i]
-        if not 0 <= t_i <= spec.shared_sizes[i]:
-            raise NotAChainError(
-                f"boundary #{i + 1} needs an out-of-range upward flow t={t_i}"
-            )
-        flows.append(t_i)
-        t_prev = t_i
-    return tuple(flows)
-
-
 def chain_matching_count(spec: ChainSpec) -> int:
     """Exact number of consistent crack mappings of a chain.
 
-    ``count = prod_i C(s_i, t_i) * prod_g n_g!``: choose which shared
-    items cross each boundary (counts are forced, see
-    :func:`_upward_flows`), then pick the within-group bijections freely.
-    Equals the permanent of the chain's adjacency matrix, at closed-form
-    cost.
+    ``count = prod_i C(s_i, d_i) * prod_g n_g!``: choose which shared
+    items cross each boundary (the upward counts ``d_i`` are forced by
+    the group sizes, see :meth:`ChainSpec.correct_to_upper`), then pick
+    the within-group bijections freely.  Equals the permanent of the
+    chain's adjacency matrix, at closed-form cost.
     """
     from math import comb, factorial
 
     count = 1
-    for s_i, t_i in zip(spec.shared_sizes, _upward_flows(spec)):
-        count *= comb(s_i, t_i)
+    for s_i, d_i in zip(spec.shared_sizes, spec.correct_to_upper()):
+        count *= comb(s_i, d_i)
     for n_g in spec.group_sizes:
         count *= factorial(n_g)
     return count

@@ -44,11 +44,8 @@ from repro.graph.matching import (
     maximum_matching,
 )
 from repro.graph.permanent import (
-    count_matchings,
-    crack_distribution,
     crack_distribution_permanent,
     enumerate_consistent_matchings,
-    expected_cracks_direct,
     permanent,
 )
 from repro.graph.propagation import PropagationResult, propagate_degree_one
@@ -73,9 +70,6 @@ __all__ = [
     "has_perfect_matching",
     "group_feasible_matching",
     "permanent",
-    "count_matchings",
-    "expected_cracks_direct",
-    "crack_distribution",
     "crack_distribution_permanent",
     "enumerate_consistent_matchings",
     "Block",

@@ -403,11 +403,12 @@ def crack_marginals_exact(
 
 
 def expected_cracks_exact(space: MappingSpace, budget: DPBudget = DEFAULT_BUDGET) -> float:
-    """Exact ``E[X]`` by the direct method, structure-exploiting.
+    """Exact ``E[X]`` by the direct method (Section 4.1), structure-exploiting.
 
-    Extends :func:`repro.graph.permanent.expected_cracks_direct` beyond
-    the Ryser cap: linearity makes ``E[X]`` the sum of per-block
-    marginal sums, each computed by the block's engine.
+    ``P(item x is cracked)`` is the fraction of perfect matchings that
+    contain the true edge ``(x', x)``, and ``E[X]`` their sum
+    (linearity, Section 5.1).  Beyond the Ryser cap, the sum is taken
+    block by block, each block's marginals from its engine.
     """
     return float(crack_marginals_exact(space, budget=budget).sum())  # repro-lint: disable=EX004 -- public float API edge
 

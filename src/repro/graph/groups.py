@@ -104,10 +104,6 @@ class BeliefGroup:
     group_range: tuple[int, int]
     items: tuple[int, ...]
 
-    @property
-    def n_admissible_groups(self) -> int:
-        return self.group_range[1] - self.group_range[0]
-
 
 class BeliefGroupPartition:
     """Original items partitioned by admissible frequency-group run.

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
@@ -467,27 +466,34 @@ def class_placement_totals(
 
 
 @lru_cache(maxsize=4096)
-def _match_count_law(capacity: int, n_special: int) -> tuple[float, ...]:  # repro-lint: disable-function=EX004 -- probability boundary: exact rencontres Fractions rounded once on output
+def _match_count_law(capacity: int, n_special: int) -> tuple[float, ...]:  # repro-lint: disable-function=EX002,EX004 -- probability boundary: int true division of exact counts, correctly rounded once
     """Law of the number of fixed special pairs in a uniform bijection.
 
     *capacity* items are paired uniformly with *capacity* slots;
     *n_special* of the items each have one designated slot (all
     distinct).  Returns ``P(exactly f special items hit their slot)`` for
     ``f = 0..n_special`` — the generalized rencontres distribution.
+
+    With ``K = capacity - n_special``, ``D(K + t, t)`` counts the
+    bijections of ``K + t`` items in which none of ``t`` special items
+    hits its slot.  It follows the diagonal recurrence
+    ``D(K+t, t) = (K+t-1) D(K+t-1, t-1) + (t-1) D(K+t-2, t-2)`` from
+    ``D(K, 0) = K!``, and ``P(f) = C(n_special, f) D(capacity - f,
+    n_special - f) / capacity!``: an integer true division, so each
+    probability is the exact ratio rounded once.
     """
+    free_slots = capacity - n_special
+    misses = [math.factorial(free_slots)]
+    for t in range(1, n_special + 1):
+        count = (free_slots + t - 1) * misses[t - 1]
+        if t >= 2:
+            count += (t - 1) * misses[t - 2]
+        misses.append(count)
     total = math.factorial(capacity)
-    law = []
-    for fixed in range(n_special + 1):
-        free = n_special - fixed
-        count = 0
-        for misses in range(free + 1):
-            count += (
-                (-1) ** misses
-                * math.comb(free, misses)
-                * math.factorial(capacity - fixed - misses)
-            )
-        law.append(float(Fraction(math.comb(n_special, fixed) * count, total)))
-    return tuple(law)
+    return tuple(
+        math.comb(n_special, fixed) * misses[n_special - fixed] / total
+        for fixed in range(n_special + 1)
+    )
 
 
 def _crack_order(entry: tuple[tuple[int, int | None], int]) -> tuple[int, bool, int]:

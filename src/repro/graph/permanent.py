@@ -12,16 +12,17 @@ simulator in tests and ablations.
   updates, ``O(2^n n)``; matrices beyond a few rows are first split
   into connected blocks (permanents multiply over blocks), and integral
   blocks go through :func:`repro.graph.kernels.permanent_batch`.
-* :func:`expected_cracks_direct` — exact ``E[X]`` as a sum of permanent
-  ratios, dispatched through :mod:`repro.graph.exact` so interval-belief
-  spaces with thousands of items stay exact.
-* :func:`crack_distribution` — the full law ``P(X = k)``, block-convolved
-  (interval DP on frequency blocks, enumeration on small explicit ones).
+* :func:`crack_distribution_permanent` — the law ``P(X = k)`` by the
+  paper's literal subset formula, for tiny domains;
+* :func:`enumerate_consistent_matchings` — every consistent matching.
+
+Exact counts, ``E[X]`` and crack laws beyond the Ryser cap live in
+:mod:`repro.graph.exact` (``count_matchings_exact``,
+``expected_cracks_exact``, ``crack_distribution_exact``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -35,9 +36,6 @@ from repro.graph.kernels import permanent_batch
 
 __all__ = [
     "permanent",
-    "count_matchings",
-    "expected_cracks_direct",
-    "crack_distribution",
     "crack_distribution_permanent",
     "enumerate_consistent_matchings",
 ]
@@ -164,41 +162,6 @@ def _ryser_float(matrix: np.ndarray, budget: ComputeBudget | None = None) -> flo
     return overall_sign * total
 
 
-def count_matchings(space: MappingSpace) -> float:
-    """Number of consistent crack mappings = permanent of the adjacency.
-
-    Dispatches through the structure-exploiting engine
-    (:func:`repro.graph.exact.count_matchings_exact`), so block-sparse
-    and interval-belief spaces far beyond the Ryser cap still count
-    exactly.  Counts too large for a float come back as ``math.inf``.
-    """
-    from repro.graph.exact import count_matchings_exact
-
-    count = count_matchings_exact(space)
-    try:
-        return float(count)  # repro-lint: disable=EX004 -- public float API edge over the exact count
-    except OverflowError:
-        return math.inf  # repro-lint: disable=EX003 -- count exceeds float range; inf is the documented sentinel
-
-
-def expected_cracks_direct(space: MappingSpace) -> float:
-    """Exact expected number of cracks by the direct method (Section 4.1).
-
-    ``P(item x is cracked)`` equals the fraction of perfect matchings
-    containing the true edge ``(x', x)``, i.e. the permanent of the minor
-    with row ``x'`` and column ``x`` removed over the full permanent; the
-    expectation is the sum of these probabilities (linearity, Section 5.1).
-
-    Dispatches through :func:`repro.graph.exact.expected_cracks_exact`:
-    Ryser minors on small explicit blocks, the consecutive-ones DP on
-    frequency blocks — so the historical n=22 cap only binds when a
-    single unstructured block is that large.
-    """
-    from repro.graph.exact import expected_cracks_exact
-
-    return expected_cracks_exact(space)
-
-
 def crack_distribution_permanent(space: MappingSpace) -> np.ndarray:  # repro-lint: disable-function=EX001,EX002,EX004 -- probability-law boundary: counts become P(X=k) here
     """``P(X = k)`` by the paper's literal Section 4.1 formula.
 
@@ -207,7 +170,8 @@ def crack_distribution_permanent(space: MappingSpace) -> np.ndarray:  # repro-li
     item (no further cracks allowed); the permanent of what remains
     counts the matchings whose crack set is exactly ``S``.  Exponential
     in both the subset lattice and the permanents — tiny domains only;
-    exists to cross-validate :func:`crack_distribution` and to document
+    exists to cross-validate
+    :func:`~repro.graph.exact.crack_distribution_exact` and to document
     why the paper abandons the direct method.
     """
     from itertools import combinations
@@ -273,18 +237,3 @@ def enumerate_consistent_matchings(space: MappingSpace) -> Iterator[tuple[int, .
         assignment[i] = -1
 
     yield from extend(0)
-
-
-def crack_distribution(space: MappingSpace) -> np.ndarray:
-    """The exact law of the number of cracks ``X``.
-
-    Returns an array ``p`` with ``p[k] = P(X = k)`` for ``k = 0..n``
-    under the paper's uniform-matching assumption.  Dispatches through
-    :func:`repro.graph.exact.crack_distribution_exact`: per-block laws
-    (interval DP on frequency blocks, enumeration on explicit blocks up
-    to 12 items each) convolved across blocks — the historical
-    whole-space enumeration cap of 12 now applies per block.
-    """
-    from repro.graph.exact import crack_distribution_exact
-
-    return crack_distribution_exact(space)

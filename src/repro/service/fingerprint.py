@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -176,10 +176,3 @@ def derived_seed(fingerprint: str) -> int:
     over HTTP, in a batch, or at another replica sharing the cache.
     """
     return int(fingerprint[:16], 16) & (2**63 - 1)
-
-
-def interest_from_raw(items: "Iterable[object] | None") -> frozenset[object] | None:
-    """Normalize a raw iterable of items (e.g. parsed JSON) to a frozenset."""
-    if items is None:
-        return None
-    return frozenset(items)

@@ -94,7 +94,6 @@ class RestartPolicy:
     jitter_fraction: float = 0.25
     crash_loop_window_seconds: float = 10.0
     crash_loop_threshold: int = 5
-    health_timeout_seconds: float = 10.0
 
     def __post_init__(self) -> None:
         if self.initial_delay_seconds <= 0 or self.max_delay_seconds <= 0:
@@ -322,11 +321,6 @@ class ReplicaSupervisor:
             state.incarnation,
         )
 
-    def mark_recovered(self, index: int) -> None:
-        """Reset the consecutive-failure counter (e.g. after a health probe)."""
-        with self._lock:
-            self._replicas[index].consecutive_failures = 0
-
     # -- fault delivery (chaos uses these; they are just signals) ---------
 
     def kill(self, index: int) -> bool:
@@ -369,18 +363,6 @@ class ReplicaSupervisor:
         if not healthy:
             self.metrics.increment("health_probe_failures")
         return healthy
-
-    def await_healthy(self, timeout: float | None = None) -> bool:
-        """Block until every running replica answers ``/healthz``."""
-        deadline = self.clock() + (
-            self.policy.health_timeout_seconds if timeout is None else timeout
-        )
-        while True:
-            if all(self.probe_health(index) for index in range(self.count)):
-                return True
-            if self.clock() >= deadline:
-                return False
-            self.sleep(0.05)
 
     def scrape_metrics(self, index: int, timeout: float = 2.0) -> dict[str, Any] | None:
         """``GET /metrics`` for replica *index*, recorded per incarnation.

@@ -22,11 +22,7 @@ from repro.simulation.diagnostics import (
     potential_scale_reduction,
 )
 from repro.simulation.estimate import SimulationResult, simulate_expected_cracks
-from repro.simulation.exact import (
-    best_expected_cracks,
-    sample_chain_cracks,
-    simulate_chain_expected_cracks,
-)
+from repro.simulation.exact import best_expected_cracks, sample_chain_cracks
 from repro.simulation.gibbs import GibbsAssignmentSampler
 from repro.simulation.sampler import MatchingSampler
 
@@ -41,6 +37,5 @@ __all__ = [
     "autocorrelation_time",
     "effective_sample_size",
     "sample_chain_cracks",
-    "simulate_chain_expected_cracks",
     "best_expected_cracks",
 ]

@@ -24,7 +24,7 @@ boundaries step by step.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -50,6 +50,11 @@ class GibbsAssignmentSampler:
         the paper's all-cracked seed); otherwise from an arbitrary
         feasible assignment.
     """
+
+    #: Sweeps :meth:`draws` discards before its first draw.
+    BURN_IN_SWEEPS = 30
+    #: Sweeps :meth:`draws` runs before each draw.
+    THINNING_SWEEPS = 2
 
     def __init__(
         self,
@@ -132,6 +137,18 @@ class GibbsAssignmentSampler:
             if budget is not None:
                 budget.sweep_tick()
         return moves
+
+    def draws(self, n_draws: int) -> Iterator[np.ndarray]:
+        """Yield *n_draws* thinned assignments after the burn-in.
+
+        The draw loop of every marginal estimate built on this sampler:
+        :attr:`BURN_IN_SWEEPS` sweeps, then :attr:`THINNING_SWEEPS`
+        sweeps before each draw.  Each draw is a copy of the assignment.
+        """
+        self.sweep(self.BURN_IN_SWEEPS)
+        for _ in range(n_draws):
+            self.sweep(self.THINNING_SWEEPS)
+            yield self.assignment
 
     # -- checkpoint/resume ----------------------------------------------------
 

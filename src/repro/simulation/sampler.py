@@ -19,6 +19,8 @@ through the four (item, partner) pairs involved, so sampling stays
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.budget import ComputeBudget
@@ -46,6 +48,11 @@ class MatchingSampler:
         paper's "every item is cracked" seed); otherwise seed from an
         arbitrary consistent matching.
     """
+
+    #: Sweeps :meth:`draws` discards before its first draw.
+    BURN_IN_SWEEPS = 50
+    #: Sweeps :meth:`draws` runs before each draw.
+    THINNING_SWEEPS = 3
 
     def __init__(
         self,
@@ -124,6 +131,18 @@ class MatchingSampler:
             if budget is not None:
                 budget.sweep_tick()
         return accepted
+
+    def draws(self, n_draws: int) -> Iterator[tuple[int, ...]]:
+        """Yield *n_draws* thinned matchings after the burn-in.
+
+        The draw loop of every marginal estimate built on this sampler:
+        :attr:`BURN_IN_SWEEPS` sweeps, then :attr:`THINNING_SWEEPS`
+        sweeps before each draw.
+        """
+        self.sweep(self.BURN_IN_SWEEPS)
+        for _ in range(n_draws):
+            self.sweep(self.THINNING_SWEEPS)
+            yield self.matching
 
     def propose(self, n_proposals: int, budget: ComputeBudget | None = None) -> int:
         """Run single random-pair proposals (finer-grained than sweeps)."""

@@ -11,7 +11,7 @@ from repro.datasets import random_database
 from repro.errors import GraphError, NotAChainError
 from repro.graph import (
     crack_marginals,
-    expected_cracks_direct,
+    expected_cracks_exact,
     space_from_frequencies,
 )
 
@@ -33,7 +33,7 @@ class TestCrackMarginals:
     def test_exact_on_bigmart(self, bigmart_space_h):
         marginals = crack_marginals(bigmart_space_h, method="exact")
         assert marginals.sum() == pytest.approx(
-            expected_cracks_direct(bigmart_space_h)
+            expected_cracks_exact(bigmart_space_h)
         )
 
     def test_auto_dispatch(self, bigmart_space_h):

@@ -233,10 +233,10 @@ class TestSamplerBudgets:
 
         monkeypatch.setattr(graph_exact, "crack_marginals_exact", exhausted)
         mean, stderr, strategy = best_expected_cracks(
-            bigmart_space_h, n_samples=50, rng=np.random.default_rng(5),
+            bigmart_space_h, rng=np.random.default_rng(5),
             budget=ComputeBudget(seconds=1e6),
         )
-        assert strategy in ("chain-sampler", "mcmc-gibbs")
+        assert strategy == "mcmc-gibbs"
         assert math.isfinite(mean) and math.isfinite(stderr)
 
 

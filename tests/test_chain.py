@@ -15,7 +15,7 @@ from repro.core import (
     space_from_chain,
 )
 from repro.errors import NotAChainError
-from repro.graph import expected_cracks_direct
+from repro.graph import expected_cracks_exact
 
 
 class TestChainSpec:
@@ -92,7 +92,7 @@ class TestSpaceFromChain:
             ChainSpec((3, 3, 2), (1, 1, 1), (3, 2)),
         ]:
             space = space_from_chain(spec)
-            assert expected_cracks_direct(space) == pytest.approx(
+            assert expected_cracks_exact(space) == pytest.approx(
                 chain_expected_cracks(spec)
             ), spec
 
@@ -143,7 +143,7 @@ class TestChainProperties:
         except NotAChainError:
             return
         space = space_from_chain(spec)
-        assert expected_cracks_direct(space) == pytest.approx(
+        assert expected_cracks_exact(space) == pytest.approx(
             chain_expected_cracks(spec)
         )
 

@@ -7,8 +7,8 @@ from repro.core import alpha_max, o_estimate
 from repro.data import FrequencyProfile, TransactionDatabase
 from repro.errors import RecipeError
 from repro.graph import (
-    crack_distribution,
-    expected_cracks_direct,
+    crack_distribution_exact,
+    expected_cracks_exact,
     space_from_frequencies,
 )
 from repro.recipe import assess_risk
@@ -21,8 +21,8 @@ class TestSingleItemDomain:
         space = space_from_frequencies(point_belief(freqs), freqs)
         assert space.n == 1
         assert o_estimate(space).value == pytest.approx(1.0)
-        assert expected_cracks_direct(space) == pytest.approx(1.0)
-        assert list(crack_distribution(space)) == pytest.approx([0.0, 1.0])
+        assert expected_cracks_exact(space) == pytest.approx(1.0)
+        assert list(crack_distribution_exact(space)) == pytest.approx([0.0, 1.0])
 
     def test_simulation_on_single_item(self, rng):
         freqs = {42: 0.5}

@@ -4,13 +4,15 @@ Property sweeps: on hundreds of random small interval and
 alpha-compliant instances, the consecutive-ones DP and the
 block-decomposed engines must agree with Ryser *exactly* (counts are
 integers below 2**53, so float equality is exact), and every strategy's
-``expected_cracks_direct`` must match the mean of its
-``crack_distribution``.
+``expected_cracks_exact`` must match the mean of its
+``crack_distribution_exact``.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,20 +22,19 @@ from repro.errors import GraphError, InfeasibleMatchingError
 from repro.graph import (
     ExplicitMappingSpace,
     count_matchings_exact,
-    crack_distribution,
     crack_distribution_exact,
     crack_marginals,
     crack_marginals_exact,
     decompose,
     enumerate_consistent_matchings,
     exact_strategy,
-    expected_cracks_direct,
     expected_cracks_exact,
     permanent,
     space_from_frequencies,
 )
 from repro.graph.intervaldp import (
     DPBudget,
+    _match_count_law,
     assignment_count,
     class_placement_totals,
     crack_law,
@@ -235,6 +236,46 @@ class TestInfeasibleFrequencySpace:
             crack_marginals_exact(space)
 
 
+def match_count_law_reference(capacity: int, n_special: int) -> tuple[float, ...]:
+    """The rencontres law by inclusion-exclusion: O(n_special^2) big terms."""
+    total = math.factorial(capacity)
+    law = []
+    for fixed in range(n_special + 1):
+        free = n_special - fixed
+        count = 0
+        for misses in range(free + 1):
+            count += (
+                (-1) ** misses
+                * math.comb(free, misses)
+                * math.factorial(capacity - fixed - misses)
+            )
+        law.append(float(Fraction(math.comb(n_special, fixed) * count, total)))
+    return tuple(law)
+
+
+class TestMatchCountLaw:
+    """The within-group law of the crack sweep, by its diagonal recurrence."""
+
+    def test_equals_inclusion_exclusion_for_small_groups(self):
+        for capacity in range(41):
+            for n_special in range(capacity + 1):
+                assert _match_count_law(capacity, n_special) == match_count_law_reference(
+                    capacity, n_special
+                ), (capacity, n_special)
+
+    @pytest.mark.parametrize("capacity,n_special", [(400, 400), (400, 17), (120, 60)])
+    def test_equals_inclusion_exclusion_for_wide_groups(self, capacity, n_special):
+        assert _match_count_law(capacity, n_special) == match_count_law_reference(
+            capacity, n_special
+        )
+
+    def test_thousand_item_group_is_a_law(self):
+        law = _match_count_law(1000, 1000)
+        assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
+        # No fixed pair: the derangement share, 1/e to float precision.
+        assert law[0] == pytest.approx(math.exp(-1), rel=1e-12)
+
+
 class TestDispatcher:
     def test_frequency_plan(self, bigmart_space_h):
         plan = exact_strategy(bigmart_space_h)
@@ -273,11 +314,11 @@ class TestDispatcher:
             intervals[i] = (max(0.0, f - 0.001 * w), min(1.0, f + 0.001 * w))
         space = space_from_frequencies(interval_belief(intervals), frequencies)
         start = time.perf_counter()
-        expected = expected_cracks_direct(space)
+        expected = expected_cracks_exact(space)
         elapsed = time.perf_counter() - start
         assert expected > 0
         assert elapsed < 5.0
-        law = crack_distribution(space)
+        law = crack_distribution_exact(space)
         assert float((np.arange(len(law)) * law).sum()) == pytest.approx(
             expected, rel=1e-9
         )
@@ -385,10 +426,8 @@ class TestExactGate:
 
         monkeypatch.setattr(graph_exact, "EXACT_COST_BUDGET", 0)
         assert assess_risk(profile, 0.1).exact_strategy is None
-        _, _, strategy = best_expected_cracks(
-            bigmart_space_h, n_samples=50, rng=np.random.default_rng(5)
-        )
-        assert strategy in ("chain-sampler", "mcmc-gibbs")
+        _, _, strategy = best_expected_cracks(bigmart_space_h, rng=np.random.default_rng(5))
+        assert strategy == "mcmc-gibbs"
         auto, mcmc = auto_and_mcmc()
         assert np.array_equal(auto, mcmc)
 

@@ -11,7 +11,7 @@ from repro.beliefs import (
     uniform_width_belief,
 )
 from repro.core import o_estimate, o_estimate_from_frequencies
-from repro.graph import expected_cracks_direct, space_from_frequencies
+from repro.graph import expected_cracks_exact, space_from_frequencies
 
 
 class TestBigMart:
@@ -151,7 +151,7 @@ class TestAccuracyAgainstExact:
         freqs = {i: round(float(f), 2) for i, f in enumerate(rng.random(n), start=1)}
         belief = uniform_width_belief(freqs, delta)
         space = space_from_frequencies(belief, freqs)
-        exact = expected_cracks_direct(space)
+        exact = expected_cracks_exact(space)
         estimate = o_estimate(space).value
         assert estimate <= exact + 1e-9  # OE underestimates for compliant beliefs
         assert exact - estimate <= 0.5 * max(1.0, exact)

@@ -11,13 +11,13 @@ from repro.beliefs import ignorant_belief, point_belief
 from repro.errors import GraphError, InfeasibleMatchingError
 from repro.graph import (
     ExplicitMappingSpace,
-    crack_distribution,
+    crack_distribution_exact,
     enumerate_consistent_matchings,
-    expected_cracks_direct,
+    expected_cracks_exact,
     permanent,
     space_from_frequencies,
 )
-from repro.graph.permanent import count_matchings
+from repro.graph.exact import count_matchings_exact
 
 
 class TestPermanent:
@@ -63,7 +63,7 @@ class TestPermanent:
 class TestEnumeration:
     def test_counts_match_permanent(self, bigmart_space_h):
         count = sum(1 for _ in enumerate_consistent_matchings(bigmart_space_h))
-        assert count == pytest.approx(count_matchings(bigmart_space_h))
+        assert count == pytest.approx(count_matchings_exact(bigmart_space_h))
 
     def test_yields_valid_matchings(self, bigmart_space_h):
         for assignment in enumerate_consistent_matchings(bigmart_space_h):
@@ -82,25 +82,25 @@ class TestDirectMethod:
         space = space_from_frequencies(
             ignorant_belief(bigmart_frequencies), bigmart_frequencies
         )
-        assert expected_cracks_direct(space) == pytest.approx(1.0)
+        assert expected_cracks_exact(space) == pytest.approx(1.0)
 
     def test_point_valued_gives_g(self, bigmart_frequencies):
         space = space_from_frequencies(
             point_belief(bigmart_frequencies), bigmart_frequencies
         )
-        assert expected_cracks_direct(space) == pytest.approx(3.0)
+        assert expected_cracks_exact(space) == pytest.approx(3.0)
 
     def test_bigmart_h(self, bigmart_space_h):
         # Ground truth for belief h, from exhaustive enumeration.
-        assert expected_cracks_direct(space=bigmart_space_h) == pytest.approx(1.8125)
+        assert expected_cracks_exact(space=bigmart_space_h) == pytest.approx(1.8125)
 
     def test_agrees_with_enumeration(self, bigmart_space_h):
-        distribution = crack_distribution(bigmart_space_h)
+        distribution = crack_distribution_exact(bigmart_space_h)
         from_dist = sum(k * p for k, p in enumerate(distribution))
-        assert expected_cracks_direct(bigmart_space_h) == pytest.approx(from_dist)
+        assert expected_cracks_exact(bigmart_space_h) == pytest.approx(from_dist)
 
     def test_staircase_all_forced(self, staircase_space):
-        assert expected_cracks_direct(staircase_space) == pytest.approx(4.0)
+        assert expected_cracks_exact(staircase_space) == pytest.approx(4.0)
 
     def test_infeasible_raises(self):
         space = ExplicitMappingSpace(
@@ -110,14 +110,14 @@ class TestDirectMethod:
             true_partner_of=[0, 1],
         )
         with pytest.raises(InfeasibleMatchingError):
-            expected_cracks_direct(space)
+            expected_cracks_exact(space)
         with pytest.raises(InfeasibleMatchingError):
-            crack_distribution(space)
+            crack_distribution_exact(space)
 
 
 class TestCrackDistribution:
     def test_is_a_distribution(self, bigmart_space_h):
-        distribution = crack_distribution(bigmart_space_h)
+        distribution = crack_distribution_exact(bigmart_space_h)
         assert distribution.sum() == pytest.approx(1.0)
         assert (distribution >= 0).all()
 
@@ -126,13 +126,13 @@ class TestCrackDistribution:
         space = space_from_frequencies(
             ignorant_belief(bigmart_frequencies), bigmart_frequencies
         )
-        distribution = crack_distribution(space)
+        distribution = crack_distribution_exact(space)
         assert distribution[space.n - 1] == pytest.approx(0.0)
 
     def test_two_blocks_distribution(self, two_blocks_space):
         # Matchings: {1,2} permuted freely (2 ways), {3,4} freely (2 ways),
         # plus the (2',3) edge never usable: 4 matchings, cracks 0,2,2,4.
-        distribution = crack_distribution(two_blocks_space)
+        distribution = crack_distribution_exact(two_blocks_space)
         assert distribution[0] == pytest.approx(0.25)
         assert distribution[2] == pytest.approx(0.5)
         assert distribution[4] == pytest.approx(0.25)

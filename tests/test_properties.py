@@ -22,8 +22,8 @@ from repro.core import o_estimate
 from repro.datasets import random_database
 from repro.graph import (
     ExplicitMappingSpace,
-    crack_distribution,
-    expected_cracks_direct,
+    crack_distribution_exact,
+    expected_cracks_exact,
     space_from_anonymized,
     space_from_frequencies,
 )
@@ -86,8 +86,8 @@ class TestCompactExplicitEquivalence:
             adjacency=[list(compact.candidates(i)) for i in range(n)],
             true_partner_of=[compact.true_partner(i) for i in range(n)],
         )
-        assert expected_cracks_direct(compact) == pytest.approx(
-            expected_cracks_direct(explicit)
+        assert expected_cracks_exact(compact) == pytest.approx(
+            expected_cracks_exact(explicit)
         )
 
 
@@ -113,7 +113,7 @@ class TestSamplerUnbiasedness:
         frequencies = random_frequencies(rng, 6, resolution=3)
         belief = random_interval_belief(rng, frequencies)
         space = space_from_frequencies(belief, frequencies)
-        exact = expected_cracks_direct(space)
+        exact = expected_cracks_exact(space)
         result = simulate_expected_cracks(
             space,
             runs=5,
@@ -129,7 +129,7 @@ class TestSamplerUnbiasedness:
         frequencies = random_frequencies(rng, 5, resolution=2)
         belief = random_interval_belief(rng, frequencies)
         space = space_from_frequencies(belief, frequencies)
-        law = crack_distribution(space)
+        law = crack_distribution_exact(space)
         attainable = {k for k, p in enumerate(law) if p > 0}
         from repro.simulation import MatchingSampler
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core import o_estimate
 from repro.data import FrequencyProfile, TransactionDatabase, scan_fimi_profile, write_fimi
 from repro.errors import FormatError, GraphError
-from repro.graph import crack_distribution, space_from_frequencies
+from repro.graph import crack_distribution_exact, space_from_frequencies
 from repro.graph.permanent import crack_distribution_permanent
 from repro.recipe import full_report
 
@@ -36,13 +36,13 @@ class TestInterestParameter:
 
 class TestSection41Formula:
     def test_agrees_with_enumeration(self, bigmart_space_h):
-        by_enumeration = crack_distribution(bigmart_space_h)
+        by_enumeration = crack_distribution_exact(bigmart_space_h)
         by_permanents = crack_distribution_permanent(bigmart_space_h)
         assert by_permanents == pytest.approx(by_enumeration)
 
     def test_agrees_on_blocks(self, two_blocks_space):
         assert crack_distribution_permanent(two_blocks_space) == pytest.approx(
-            crack_distribution(two_blocks_space)
+            crack_distribution_exact(two_blocks_space)
         )
 
     def test_size_guard(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.beliefs import ignorant_belief, point_belief
 from repro.core import ChainSpec, chain_expected_cracks, space_from_chain
 from repro.errors import SimulationError
-from repro.graph import expected_cracks_direct, space_from_frequencies
+from repro.graph import expected_cracks_exact, space_from_frequencies
 from repro.simulation import MatchingSampler, SimulationResult, simulate_expected_cracks
 
 
@@ -50,7 +50,7 @@ class TestMatchingSampler:
 
 class TestGibbsSampler:
     def test_matches_direct_method(self, bigmart_space_h):
-        exact = expected_cracks_direct(bigmart_space_h)
+        exact = expected_cracks_exact(bigmart_space_h)
         result = simulate_expected_cracks(
             bigmart_space_h,
             runs=5,
@@ -113,7 +113,7 @@ class TestGibbsSampler:
 
 class TestSimulateExpectedCracks:
     def test_matches_direct_method_bigmart(self, bigmart_space_h):
-        exact = expected_cracks_direct(bigmart_space_h)
+        exact = expected_cracks_exact(bigmart_space_h)
         result = simulate_expected_cracks(
             bigmart_space_h, runs=5, samples_per_run=400, rng=np.random.default_rng(42)
         )
@@ -160,7 +160,7 @@ class TestSimulateExpectedCracks:
             rng=np.random.default_rng(10),
             rao_blackwell=True,
         )
-        exact = expected_cracks_direct(bigmart_space_h)
+        exact = expected_cracks_exact(bigmart_space_h)
         assert rao.mean == pytest.approx(exact, abs=max(3 * rao.std, 0.1))
         assert rao.std <= plain.std + 0.05
 

@@ -12,7 +12,7 @@ from scipy import stats
 
 from repro.beliefs import interval_belief
 from repro.core import ChainSpec, space_from_chain
-from repro.graph import crack_distribution, space_from_frequencies
+from repro.graph import crack_distribution_exact, space_from_frequencies
 from repro.simulation import GibbsAssignmentSampler, MatchingSampler
 from repro.simulation.exact import sample_chain_cracks
 
@@ -53,7 +53,7 @@ def collect_counts(sampler, n_draws: int, gap: int = 3) -> dict:
 
 class TestSwapChainUniformity:
     def test_crack_law_matches_enumeration(self, small_space):
-        law = crack_distribution(small_space)
+        law = crack_distribution_exact(small_space)
         sampler = MatchingSampler(small_space, rng=np.random.default_rng(3))
         sampler.sweep(50)
         counts = collect_counts(sampler, 4000)
@@ -62,7 +62,7 @@ class TestSwapChainUniformity:
 
 class TestGibbsChainUniformity:
     def test_crack_law_matches_enumeration(self, small_space):
-        law = crack_distribution(small_space)
+        law = crack_distribution_exact(small_space)
         sampler = GibbsAssignmentSampler(small_space, rng=np.random.default_rng(4))
         sampler.sweep(50)
         counts = collect_counts(sampler, 4000, gap=2)
@@ -73,7 +73,7 @@ class TestExactChainSamplerUniformity:
     def test_crack_law_matches_enumeration(self):
         spec = ChainSpec((3, 2), (1, 1), (3,))
         space = space_from_chain(spec)
-        law = crack_distribution(space)
+        law = crack_distribution_exact(space)
         samples = sample_chain_cracks(
             space, 5000, rng=np.random.default_rng(5), rao_blackwell=False
         )
@@ -83,7 +83,7 @@ class TestExactChainSamplerUniformity:
         assert chi_square_pvalue(counts, law, 5000) > 1e-3
 
     def test_bigmart_swap_matches_full_law(self, bigmart_space_h):
-        law = crack_distribution(bigmart_space_h)
+        law = crack_distribution_exact(bigmart_space_h)
         sampler = MatchingSampler(bigmart_space_h, rng=np.random.default_rng(6))
         sampler.sweep(50)
         counts = collect_counts(sampler, 3000)
